@@ -55,6 +55,7 @@ from .matroid import (
 from .model import (
     CategoricalModel,
     InvalidModel,
+    ModelFormatError,
     Partition,
     Statistic,
     ValidationIssue,

@@ -15,10 +15,10 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import UmvueError
-from .linalg import null_space, rank_of_vectors, solve_in_span
-from .matroid import GroundSetMismatch, mve_partition
-from .model import CategoricalModel, Partition, Statistic, coefficient_matrix
-from .poly import Monomial, Polynomial, coeff_vector
+from .linalg import Matrix, null_space, solve_in_span
+from .matroid import GroundSetMismatch, mve_partition, refines
+from .model import CategoricalModel, Partition, Statistic
+from .poly import MissingMonomial, Polynomial, coeff_vector
 
 
 class LengthMismatch(UmvueError):
@@ -34,16 +34,12 @@ def _check_length(m: CategoricalModel, g: Statistic) -> None:
 def expectation(m: CategoricalModel, g: Statistic) -> Polynomial:
     """E g as a polynomial in the parameters: sum_k g(k) * p_k."""
     _check_length(m, g)
-    out = Polynomial.zero()
-    for value, p in zip(g.values, m.pmf):
-        out = out + p * value
-    return out
+    return sum((p * value for value, p in zip(g.values, m.pmf)), Polynomial.zero())
 
 
 def zero_mean_space(m: CategoricalModel) -> list[Statistic]:
     """Exact basis of the unbiased estimators of zero; empty iff complete."""
-    _, c = coefficient_matrix(m)
-    return [Statistic(vec) for vec in null_space(c)]
+    return [Statistic(vec) for vec in m.structure.null_space]
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ def is_umvue(m: CategoricalModel, g: Statistic) -> UmvueVerdict:
     itself zero-mean for every basis vector chi.
     """
     _check_length(m, g)
-    _, c = coefficient_matrix(m)
+    c = m.structure.matrix
     for chi in zero_mean_space(m):
         product = g.pointwise_mul(chi)
         if any(x != 0 for x in c.mul_vector(product.values)):
@@ -76,17 +72,16 @@ def umvue_functionals(m: CategoricalModel) -> list[Polynomial]:
 
     Their span is exactly the set of parametric functions possessing UMVUEs.
     """
-    return [
-        sum((m.pmf[k] for k in block), Polynomial.zero())
-        for block in mve_partition(m).blocks
-    ]
+    return _block_sums(m, mve_partition(m))
+
+
+def _block_sums(m: CategoricalModel, p: Partition) -> list[Polynomial]:
+    return [sum((m.pmf[k] for k in block), Polynomial.zero()) for block in p.blocks]
 
 
 def _positively_proportional(p: Polynomial, q: Polynomial) -> bool:
     """True iff p = c*q identically for some rational c > 0."""
-    if p.is_zero() or q.is_zero():
-        return False
-    if set(p.terms) != set(q.terms):
+    if p.is_zero() or q.is_zero() or set(p.terms) != set(q.terms):
         return False
     lead = q.monomials()[0]
     c = p.coefficient(lead) / q.coefficient(lead)
@@ -111,12 +106,7 @@ def is_sufficient(m: CategoricalModel, p: Partition) -> bool:
     i.e. the conditional distribution within each block is parameter-free."""
     if p.n != m.n:
         raise GroundSetMismatch(f"partition covers {p.n} cells, model has {m.n}")
-    for block in p.blocks:
-        first = m.pmf[block[0]]
-        for k in block[1:]:
-            if not _positively_proportional(m.pmf[k], first):
-                return False
-    return True
+    return refines(p, minimal_sufficient_partition(m))
 
 
 def is_complete(m: CategoricalModel, p: Partition) -> bool:
@@ -124,12 +114,13 @@ def is_complete(m: CategoricalModel, p: Partition) -> bool:
     nonzero block-measurable statistic has identically zero mean."""
     if p.n != m.n:
         raise GroundSetMismatch(f"partition covers {p.n} cells, model has {m.n}")
-    basis, _ = coefficient_matrix(m)
-    sums = [
-        coeff_vector(sum((m.pmf[k] for k in block), Polynomial.zero()), basis)
-        for block in p.blocks
-    ]
-    return rank_of_vectors(sums) == len(p.blocks)
+    s = m.structure
+    # a trivial kernel makes every family of block sums independent; with
+    # singleton blocks the block sums are the cells themselves
+    if not s.null_space or len(p.blocks) == m.n:
+        return not s.null_space
+    sums = [coeff_vector(q, s.basis) for q in _block_sums(m, p)]
+    return not null_space(Matrix.from_columns(sums))
 
 
 class Estimability(Enum):
@@ -154,23 +145,19 @@ def umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
     If the target lies in the span of the block functionals pi_j, the UMVUE
     is the statistic taking the (unique) coefficient c_j on block j.
     """
-    partition = mve_partition(m)
-    monos: set = set(target.terms)
-    for p in m.pmf:
-        monos.update(p.terms)
-    basis = sorted(monos, key=Monomial.sort_key)
-    t = coeff_vector(target, basis)
-
-    cell_columns = [coeff_vector(p, basis) for p in m.pmf]
-    if solve_in_span(cell_columns, t) is None:
+    s = m.structure
+    try:
+        t = coeff_vector(target, s.basis)
+    except MissingMonomial:  # no cell has this monomial
         return EstimateResult(Estimability.NOT_ESTIMABLE)
 
-    pi_columns = [
-        coeff_vector(sum((m.pmf[k] for k in block), Polynomial.zero()), basis)
-        for block in partition.blocks
-    ]
-    coeffs = solve_in_span(pi_columns, t)
+    partition = mve_partition(m)
+    coeffs = solve_in_span([coeff_vector(pi, s.basis) for pi in _block_sums(m, partition)], t)
     if coeffs is None:
+        # the cells span every coordinate when C has full row rank
+        pivot_columns = [s.matrix.column(j) for j in s.reduced.pivots]
+        if s.reduced.rank < len(s.basis) and solve_in_span(pivot_columns, t) is None:
+            return EstimateResult(Estimability.NOT_ESTIMABLE)
         return EstimateResult(Estimability.NO_UMVUE)
 
     values = [Fraction(0)] * m.n

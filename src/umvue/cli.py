@@ -95,17 +95,18 @@ def _parse_statistic(text: str, n: int) -> Statistic:
     return Statistic(tuple(values))
 
 
-def _parse_bindings(pairs: list[str]) -> dict[str, Fraction]:
-    bindings: dict[str, Fraction] = {}
+def _parse_pairs(pairs: list[str], convert, what: str) -> dict:
+    """Repeated NAME=VALUE options, each value read by `convert`."""
+    out = {}
     for pair in pairs:
         name, sep, raw = pair.partition("=")
-        if not sep or not name:
-            raise UmvueError(f"bad binding {pair!r}; expected NAME=VALUE")
+        if not sep or not name.strip():
+            raise UmvueError(f"bad {what} {pair!r}; expected NAME=VALUE")
         try:
-            bindings[name.strip()] = Fraction(raw.strip())
+            out[name.strip()] = convert(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise UmvueError(f"bad binding value in {pair!r}: {exc}") from exc
-    return bindings
+            raise UmvueError(f"bad {what} value in {pair!r}: {exc}") from exc
+    return out
 
 
 def _write(text: str, output: str | None) -> None:
@@ -161,7 +162,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_slice(args) -> int:
     model = _load(args.model)
-    bindings = _parse_bindings(args.bind)
+    bindings = _parse_pairs(args.bind, Fraction, "binding")
     if not bindings:
         raise UmvueError("slice needs at least one --bind NAME=VALUE")
     sliced = slice_model(model, bindings)
@@ -176,16 +177,7 @@ def _cmd_corpus(args) -> int:
             suffix = "".join(f"  (--param {key}=INT)" for key in wanted)
             print(f"{name}{suffix}")
         return EXIT_OK
-    params: dict[str, int] = {}
-    for pair in args.param:
-        key, sep, raw = pair.partition("=")
-        if not sep:
-            raise UmvueError(f"bad corpus parameter {pair!r}; expected KEY=INT")
-        try:
-            params[key.strip()] = int(raw)
-        except ValueError as exc:
-            raise UmvueError(f"bad corpus parameter {pair!r}: {exc}") from exc
-    model = corpus_model(args.name, params)
+    model = corpus_model(args.name, _parse_pairs(args.param, int, "corpus parameter"))
     _write(model_to_json(model), args.output)
     return EXIT_OK
 

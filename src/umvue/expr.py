@@ -9,6 +9,9 @@ Grammar (no implicit multiplication):
     base     := rational | identifier | '(' expr ')'
     rational := uint ('/' uint)?
 
+A power's degree, exponent times base degree (a constant base counts as 1),
+is at most MAX_POWER_DEGREE, so no input asks for an unbounded expansion.
+
 format_poly emits terms in canonical order (graded, then lexicographic by
 parameter name), with explicit '*' and '^', so parse_poly(format_poly(p)) == p.
 """
@@ -46,6 +49,8 @@ class ZeroDenominator(UmvueError):
 
 
 _SYMBOLS = "+-*/^()"
+
+MAX_POWER_DEGREE = 512
 
 
 class _Token:
@@ -137,8 +142,11 @@ class _Parser:
         base = self.base()
         if self.peek().kind == "^":
             self.take()
-            exponent = self.expect("uint")
-            return base ** int(exponent.text)
+            tok = self.expect("uint")
+            exponent = int(tok.text)
+            if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
+                raise ParseError(f"power exceeds degree {MAX_POWER_DEGREE}", tok.pos)
+            return base ** exponent
         return base
 
     def base(self) -> Polynomial:

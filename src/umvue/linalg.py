@@ -1,13 +1,18 @@
 """Exact rational matrices: reduced row echelon form, rank, null space.
 
-Elimination is plain Gauss-Jordan over Fraction. The null-space basis is
-normalized deterministically: one vector per free column in ascending column
-order, each scaled so its leading nonzero entry is 1.
+Elimination is fraction-free: each column is scaled by the LCM of its
+denominators, which keeps the pivot columns (the column matroid) and only
+rescales the kernel, and the integer matrix is reduced by Gauss-Jordan with
+Bareiss's exact division by the previous pivot (Bareiss 1968; Nakos, Turner
+and Williams 1997). No gcd is taken until the rational RREF is read back.
+The null-space basis is normalized deterministically: one vector per free
+column in ascending column order, its leading nonzero entry scaled to 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -48,15 +53,10 @@ class Matrix:
     def mul_vector(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((row[j] * v[j] for j in range(self.ncols)), Fraction(0)) for row in self.rows)
+        return tuple(sum((a * b for a, b in zip(row, v) if a and b), Fraction(0)) for row in self.rows)
 
     def select_columns(self, cols: Sequence[int]) -> "Matrix":
         return Matrix([[row[j] for j in cols] for row in self.rows], ncols=len(cols))
-
-    def augment(self, extra: Sequence[Sequence[Fraction]]) -> "Matrix":
-        """Append extra columns (given column-wise) on the right."""
-        cols = self.columns() + [tuple(Fraction(x) for x in c) for c in extra]
-        return Matrix.from_columns(cols, nrows=self.nrows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -79,27 +79,41 @@ class RrefResult(NamedTuple):
     rank: int
 
 
+def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; each division
+    by the previous pivot is exact. Returns the pivot columns and the last
+    pivot d: row r < rank is then d times row r of the RREF, the rest are 0."""
+    pivots: list[int] = []
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        pivots.append(c)
+        d = p
+    return pivots, d
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with pivot columns (strictly increasing)."""
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(m.ncols):
-        pivot_row = next((i for i in range(pr, m.nrows) if rows[i][pc] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = Fraction(1) / rows[pr][pc]
-        rows[pr] = [x * inv for x in rows[pr]]
-        for i in range(m.nrows):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.nrows:
-            break
-    return RrefResult(Matrix(rows, ncols=m.ncols), tuple(pivots), len(pivots))
+    scales = [lcm(*(x.denominator for x in col)) for col in zip(*m.rows)]
+    rows = [[x.numerator * (s // x.denominator) for x, s in zip(row, scales)] for row in m.rows]
+    pivots, d = bareiss(rows)
+    zero = Fraction(0)
+    # row r of the scaled RREF is rows[r] / d: unscale column j and the pivot
+    reduced = [
+        tuple(Fraction(a * scales[pc], d * s) if a else zero for a, s in zip(rows[r], scales))
+        for r, pc in enumerate(pivots)
+    ]
+    reduced += [(zero,) * m.ncols] * (m.nrows - len(pivots))
+    return RrefResult(Matrix(reduced, ncols=m.ncols), tuple(pivots), len(pivots))
 
 
 def rank(m: Matrix) -> int:
@@ -109,9 +123,7 @@ def rank(m: Matrix) -> int:
 def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a set of vectors (given as rows)."""
     vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return 0
-    return rank(Matrix(vecs))
+    return rank(Matrix(vecs)) if vecs else 0
 
 
 def null_space(m: Matrix) -> list[Vector]:
@@ -120,13 +132,18 @@ def null_space(m: Matrix) -> list[Vector]:
     One basis vector per free column, ascending; each vector is scaled so its
     first nonzero entry equals 1.
     """
-    red, pivots, _ = rref(m)
+    return kernel(rref(m))
+
+
+def kernel(reduced: RrefResult) -> list[Vector]:
+    """The null-space basis of `null_space`, read off an existing RREF."""
+    red, pivots, _ = reduced
     pivot_set = set(pivots)
     basis: list[Vector] = []
-    for free in range(m.ncols):
+    for free in range(red.ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * m.ncols
+        vec = [Fraction(0)] * red.ncols
         vec[free] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -red.rows[r][free]
@@ -142,8 +159,7 @@ def solve_in_span(columns: Sequence[Sequence[Fraction]], target: Sequence[Fracti
     they are dependent an arbitrary-but-deterministic solution is returned
     (free coefficients set to zero).
     """
-    mat = Matrix.from_columns(list(columns) + [tuple(Fraction(x) for x in target)],
-                              nrows=len(target))
+    mat = Matrix.from_columns(list(columns) + [target], nrows=len(target))
     red, pivots, _ = rref(mat)
     n = len(columns)
     if n in pivots:

@@ -2,9 +2,9 @@
 
 The unique maximal partition whose blocks span linearly independent
 subspaces is the partition into connected components of the linear matroid
-on the coefficient columns. Components are computed from the fundamental
-circuit graph with respect to the leftmost-pivot column basis; connectivity
-does not depend on that basis choice.
+on the coefficient columns. Components are joined from the fundamental
+circuits with respect to the leftmost-pivot column basis, read off the
+model's one elimination; connectivity does not depend on that basis choice.
 
 Greedy pairwise merging by rank additivity would be wrong here: pairwise
 direct sums do not imply a joint direct sum (three coplanar lines), which is
@@ -13,11 +13,11 @@ why only the circuit-graph construction is used.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import UmvueError
-from .linalg import Matrix, rank, rref
-from .model import CategoricalModel, Partition, coefficient_matrix
+from .linalg import Matrix, RrefResult, rank, rref
+from .model import CategoricalModel, Partition
 
 
 class ZeroColumn(UmvueError):
@@ -30,6 +30,22 @@ class GroundSetMismatch(UmvueError):
     pass
 
 
+def _fundamental_circuits(reduced: RrefResult) -> list[list[int]]:
+    """One circuit per non-pivot column j: the pivot columns in its
+    expansion over the leftmost-pivot basis, followed by j itself."""
+    red, pivots, _ = reduced
+    pivot_set = set(pivots)
+    circuits = []
+    for j in range(red.ncols):
+        if j in pivot_set:
+            continue
+        support = [pc for pc, row in zip(pivots, red.rows) if row[j] != 0]
+        if not support:
+            raise ZeroColumn(j)
+        circuits.append(support + [j])
+    return circuits
+
+
 def fundamental_circuit_graph(c: Matrix) -> list[set[int]]:
     """Adjacency sets over columns; columns in a common circuit are connected.
 
@@ -37,58 +53,22 @@ def fundamental_circuit_graph(c: Matrix) -> list[set[int]]:
     joined to the basis columns appearing in its expansion, and those basis
     columns are joined pairwise (one clique per fundamental circuit).
     """
-    for j in range(c.ncols):
-        if all(x == 0 for x in c.column(j)):
-            raise ZeroColumn(j)
-    red, pivots, _ = rref(c)
     adjacency: list[set[int]] = [set() for _ in range(c.ncols)]
-
-    def connect(a: int, b: int) -> None:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-
-    pivot_set = set(pivots)
-    for j in range(c.ncols):
-        if j in pivot_set:
-            continue
-        support = [pivots[r] for r in range(len(pivots)) if red.rows[r][j] != 0]
-        for a in support:
-            connect(a, j)
-        for i, a in enumerate(support):
-            for b in support[i + 1:]:
-                connect(a, b)
+    for circuit in _fundamental_circuits(rref(c)):
+        for a in circuit:
+            adjacency[a].update(b for b in circuit if b != a)
     return adjacency
-
-
-def _components(adjacency: list[set[int]]) -> Partition:
-    n = len(adjacency)
-    seen = [False] * n
-    blocks: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        block = []
-        while stack:
-            v = stack.pop()
-            block.append(v)
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        blocks.append(block)
-    return Partition(blocks)
 
 
 def mve_partition(m: CategoricalModel) -> Partition:
     """The unique maximal partition with blockwise linearly independent spans.
 
     A statistic is a UMVUE exactly when it is constant on these blocks, so
-    this partition generates the whole subalgebra of UMVUEs.
+    this partition generates the whole subalgebra of UMVUEs. Its blocks are
+    the matroid's connected components: the common coarsening of the
+    fundamental-circuit supports.
     """
-    _, c = coefficient_matrix(m)
-    return _components(fundamental_circuit_graph(c))
+    return _join(m.n, _fundamental_circuits(m.structure.reduced))
 
 
 def is_rank_additive(c: Matrix, p: Partition) -> bool:
@@ -112,23 +92,23 @@ def common_refinement(p: Partition, q: Partition) -> Partition:
     """Coarsest partition refining both: all non-empty pairwise intersections."""
     if p.n != q.n:
         raise GroundSetMismatch(f"ground sets differ: {p.n} vs {q.n}")
-    blocks = []
-    for a in p.blocks:
-        for b in q.blocks:
-            inter = set(a) & set(b)
-            if inter:
-                blocks.append(inter)
-    return Partition(blocks)
+    intersections = (set(a) & set(b) for a in p.blocks for b in q.blocks)
+    return Partition(i for i in intersections if i)
 
 
 def common_coarsening(ps: Sequence[Partition]) -> Partition:
-    """Finest partition coarser than every input (union-find over all blocks)."""
+    """Finest partition coarser than every input."""
     if not ps:
         raise ValueError("need at least one partition")
     n = ps[0].n
     for p in ps:
         if p.n != n:
             raise GroundSetMismatch(f"ground sets differ: {p.n} vs {n}")
+    return _join(n, [block for p in ps for block in p.blocks])
+
+
+def _join(n: int, groups: Iterable[Sequence[int]]) -> Partition:
+    """Finest partition of 0..n-1 with each group inside one block (union-find)."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -137,12 +117,11 @@ def common_coarsening(ps: Sequence[Partition]) -> Partition:
             x = parent[x]
         return x
 
-    for p in ps:
-        for block in p.blocks:
-            root = find(block[0])
-            for k in block[1:]:
-                parent[find(k)] = root
-    groups: dict[int, list[int]] = {}
+    for group in groups:
+        root = find(group[0])
+        for k in group[1:]:
+            parent[find(k)] = root
+    blocks: dict[int, list[int]] = {}
     for k in range(n):
-        groups.setdefault(find(k), []).append(k)
-    return Partition(groups.values())
+        blocks.setdefault(find(k), []).append(k)
+    return Partition(blocks.values())

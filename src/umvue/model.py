@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UmvueError
 from .expr import format_poly, parse_poly
-from .linalg import Matrix
+from .linalg import Matrix, RrefResult, Vector, kernel, rref
 from .poly import Monomial, Polynomial, as_fraction, coeff_vector
 
 Interval = tuple[Fraction, Fraction]
@@ -99,17 +100,20 @@ class Partition:
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    def block_of(self, k: int) -> int:
-        for j, block in enumerate(self.blocks):
-            if k in block:
-                return j
-        raise KeyError(k)
-
     def labelled(self, labels: Sequence[str]) -> list[list[str]]:
         return [[labels[k] for k in block] for block in self.blocks]
 
     def __str__(self) -> str:
         return " ".join("{" + ", ".join(str(k) for k in b) + "}" for b in self.blocks)
+
+
+class Structure(NamedTuple):
+    """A model's coefficient matrix C, eliminated once, and what it yields."""
+
+    basis: list[Monomial]   # row index of C
+    matrix: Matrix          # C: column k holds cell k's coordinates
+    reduced: RrefResult     # RREF of C with its pivots and rank
+    null_space: list[Vector]
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,14 @@ class CategoricalModel:
     @property
     def n(self) -> int:
         return len(self.support)
+
+    @cached_property
+    def structure(self) -> Structure:
+        """The one elimination every analysis reads. It is kept on this
+        instance only: an equal model loaded afresh eliminates again."""
+        basis, c = coefficient_matrix(self)
+        reduced = rref(c)
+        return Structure(basis, c, reduced, kernel(reduced))
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,18 +236,11 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
 
     if not any(issue.code == "undeclared-parameter" for issue in issues):
         for point in domain_grid(m):
-            for k, p in enumerate(m.pmf):
-                if p.is_zero():
-                    continue
-                if p.evaluate(point) <= 0:
-                    issues.append(ValidationIssue(
-                        "non-positive",
-                        f"cell {k} is not positive at "
-                        + ", ".join(f"{name}={val}" for name, val in point.items()),
-                        component=k,
-                        point=tuple(point.items()),
-                    ))
-            if any(issue.code == "non-positive" for issue in issues):
+            bad = [k for k, p in enumerate(m.pmf) if not p.is_zero() and p.evaluate(point) <= 0]
+            if bad:
+                where = ", ".join(f"{name}={val}" for name, val in point.items())
+                issues += [ValidationIssue("non-positive", f"cell {k} is not positive at {where}",
+                                           component=k, point=tuple(point.items())) for k in bad]
                 break
 
     return ValidationReport(ok=not issues, issues=tuple(issues))
@@ -297,7 +302,7 @@ def model_from_dict(data: dict) -> CategoricalModel:
             name: (as_fraction(str(lo)), as_fraction(str(hi)))
             for name, (lo, hi) in data["domain"].items()
         }
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"bad domain: {exc}") from exc
     pmf = [parse_poly(str(expr), parameters) for expr in data["pmf"]]
     try:

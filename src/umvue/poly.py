@@ -179,9 +179,16 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1)
-        for _ in range(exponent):
-            result = result * self
+        if len(self.terms) == 1:
+            ((mono, coeff),) = self.terms.items()
+            return _raw({Monomial((name, e * exponent) for name, e in mono.exps): coeff ** exponent})
+        result, base = Polynomial.constant(1), self
+        while exponent:  # exponentiation by squaring
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def substitute(self, bindings: Mapping[str, RationalLike]) -> "Polynomial":

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -180,3 +181,25 @@ def test_subprocess_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "umvue: yes" in result.stdout
+
+
+def test_zero_denominator_domain_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "parameters": ["theta"],
+        "domain": {"theta": ["0", "1/0"]},
+        "support": ["a", "b"],
+        "pmf": ["theta", "1 - theta"],
+    }), encoding="utf-8")
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("target", ["theta^999999999", "(1+theta)^2000"])
+def test_oversized_power_is_input_error_and_fast(p23_file, capsys, target):
+    start = time.monotonic()
+    code, _, err = run(capsys, "estimate", str(p23_file), "--target", target)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:")

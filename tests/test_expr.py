@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from umvue.expr import (
+    MAX_POWER_DEGREE,
     ParseError,
     UnknownParameter,
     ZeroDenominator,
@@ -95,3 +96,11 @@ def test_format_parse_is_canonicalizing():
     p = parse_poly(text.replace("+", " + "), ["theta"])
     assert format_poly(p) == "theta"
     assert format_poly(parse_poly(format_poly(p), ["theta"])) == format_poly(p)
+
+
+def test_power_degree_bound():
+    assert parse_poly("theta^512", ["theta"]).degree() == MAX_POWER_DEGREE == 512
+    assert parse_poly("(1+theta)^2", ["theta"]) == parse_poly("1 + 2*theta + theta^2", ["theta"])
+    for text in ("theta^513", "(theta^2)^257", "(1+theta)^2000", "2^513"):
+        with pytest.raises(ParseError):
+            parse_poly(text, ["theta"])

@@ -72,6 +72,17 @@ def test_pow():
     assert (T + 1) ** 2 == T * T + T * 2 + 1
 
 
+def test_pow_matches_repeated_multiplication():
+    rng = random.Random(4242)
+    for _ in range(200):
+        p = random_polynomial(rng, max_degree=2, max_terms=3)
+        k = rng.randint(0, 9)
+        product = Polynomial.constant(1)
+        for _ in range(k):
+            product = product * p
+        assert p ** k == product
+
+
 def test_coeff_vector_read_off():
     basis = [ONE, Monomial({"theta": 1}), Monomial({"theta": 2})]
     assert coeff_vector(T + T * T, basis) == (0, 1, 1)
