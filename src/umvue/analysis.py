@@ -34,7 +34,7 @@ def _check_length(m: CategoricalModel, g: Statistic) -> None:
 def expectation(m: CategoricalModel, g: Statistic) -> Polynomial:
     """E g as a polynomial in the parameters: sum_k g(k) * p_k."""
     _check_length(m, g)
-    return sum((p * value for value, p in zip(g.values, m.pmf)), Polynomial.zero())
+    return Polynomial.sum(p * value for value, p in zip(g.values, m.pmf))
 
 
 def zero_mean_space(m: CategoricalModel) -> list[Statistic]:
@@ -76,7 +76,7 @@ def umvue_functionals(m: CategoricalModel) -> list[Polynomial]:
 
 
 def _block_sums(m: CategoricalModel, p: Partition) -> list[Polynomial]:
-    return [sum((m.pmf[k] for k in block), Polynomial.zero()) for block in p.blocks]
+    return [Polynomial.sum(m.pmf[k] for k in block) for block in p.blocks]
 
 
 def _positively_proportional(p: Polynomial, q: Polynomial) -> bool:

@@ -211,7 +211,7 @@ def random_model(seed: int, n: int, max_degree: int, n_params: int) -> Categoric
         mass = sum((sum(p.terms.values(), Fraction(0)) for p in cells), Fraction(0))
         scale = Fraction(3, 4) / mass
         cells = [p * scale for p in cells]
-        closing = Polynomial.constant(1) - sum(cells, Polynomial.zero())
+        closing = Polynomial.constant(1) - Polynomial.sum(cells)
         cells.append(closing)
         candidate = CategoricalModel(
             support=[str(k + 1) for k in range(n)],

@@ -11,6 +11,9 @@ Grammar (no implicit multiplication):
 
 A power's degree, exponent times base degree (a constant base counts as 1),
 is at most MAX_POWER_DEGREE, so no input asks for an unbounded expansion.
+Parentheses nest at most MAX_NESTING deep, far inside the interpreter's
+recursion limit. Digits are those int() reads (str.isdecimal), and a literal
+over the interpreter's int-from-string limit is a ParseError.
 
 format_poly emits terms in canonical order (graded, then lexicographic by
 parameter name), with explicit '*' and '^', so parse_poly(format_poly(p)) == p.
@@ -18,6 +21,7 @@ parameter name), with explicit '*' and '^', so parse_poly(format_poly(p)) == p.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,44 +52,32 @@ class ZeroDenominator(UmvueError):
         super().__init__(f"zero denominator at position {position}")
 
 
-_SYMBOLS = "+-*/^()"
-
 MAX_POWER_DEGREE = 512
+MAX_NESTING = 100
+
+# \d is str.isdecimal and \w is str.isalnum or '_'; an identifier must
+# also start with a letter or '_', which the tokenizer checks
+_TOKEN = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<symbol>[-+*/^()])|(?P<uint>\d+)|(?P<ident>\w+)|(?P<bad>.)",
+                    re.DOTALL)
 
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
 
     def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # 'uint' | 'ident' | one of _SYMBOLS | 'end'
+        self.kind = kind  # 'uint' | 'ident' | one of '+-*/^()' | 'end'
         self.text = text
         self.pos = pos
 
 
 def _tokenize(expr: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(expr):
-        ch = expr[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            tokens.append(_Token("uint", expr[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", expr[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(expr):
+        kind, text = match.lastgroup, match.group()
+        if kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", match.start())
+        if kind != "space":
+            tokens.append(_Token(text if kind == "symbol" else kind, text, match.start()))
     tokens.append(_Token("end", "", len(expr)))
     return tokens
 
@@ -94,7 +86,8 @@ class _Parser:
     def __init__(self, tokens: list[_Token], parameters: Sequence[str]):
         self.tokens = tokens
         self.pos = 0
-        self.parameters = set(parameters)
+        self.variables = {name: Polynomial.variable(name) for name in parameters}
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -110,6 +103,13 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos, [kind])
         return self.take()
 
+    def uint(self) -> int:
+        tok = self.expect("uint")
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int-from-string limit
+            raise ParseError(f"number of {len(tok.text)} digits is too long", tok.pos) from None
+
     def parse(self) -> Polynomial:
         result = self.expr()
         tok = self.peek()
@@ -118,12 +118,12 @@ class _Parser:
         return result
 
     def expr(self) -> Polynomial:
-        result = self.term()
+        terms = [self.term()]
         while self.peek().kind in "+-":
             op = self.take()
             rhs = self.term()
-            result = result + rhs if op.kind == "+" else result - rhs
-        return result
+            terms.append(rhs if op.kind == "+" else -rhs)
+        return terms[0] if len(terms) == 1 else Polynomial.sum(terms)
 
     def term(self) -> Polynomial:
         result = self.unary()
@@ -142,8 +142,8 @@ class _Parser:
         base = self.base()
         if self.peek().kind == "^":
             self.take()
-            tok = self.expect("uint")
-            exponent = int(tok.text)
+            tok = self.peek()
+            exponent = self.uint()
             if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
                 raise ParseError(f"power exceeds degree {MAX_POWER_DEGREE}", tok.pos)
             return base ** exponent
@@ -152,23 +152,27 @@ class _Parser:
     def base(self) -> Polynomial:
         tok = self.peek()
         if tok.kind == "uint":
-            self.take()
-            num = int(tok.text)
+            num = self.uint()
             if self.peek().kind == "/":
                 self.take()
-                den_tok = self.expect("uint")
-                if int(den_tok.text) == 0:
-                    raise ZeroDenominator(den_tok.pos)
-                return Polynomial.constant(Fraction(num, int(den_tok.text)))
+                den_pos = self.peek().pos
+                den = self.uint()
+                if den == 0:
+                    raise ZeroDenominator(den_pos)
+                return Polynomial.constant(Fraction(num, den))
             return Polynomial.constant(num)
         if tok.kind == "ident":
             self.take()
-            if tok.text not in self.parameters:
+            if tok.text not in self.variables:
                 raise UnknownParameter(tok.text, tok.pos)
-            return Polynomial.variable(tok.text)
+            return self.variables[tok.text]
         if tok.kind == "(":
             self.take()
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos,

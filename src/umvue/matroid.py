@@ -66,9 +66,12 @@ def mve_partition(m: CategoricalModel) -> Partition:
     A statistic is a UMVUE exactly when it is constant on these blocks, so
     this partition generates the whole subalgebra of UMVUEs. Its blocks are
     the matroid's connected components: the common coarsening of the
-    fundamental-circuit supports.
+    fundamental-circuit supports. Like `m.structure`, it is kept on this
+    instance only.
     """
-    return _join(m.n, _fundamental_circuits(m.structure.reduced))
+    if "mve_partition" not in m.__dict__:
+        m.__dict__["mve_partition"] = _join(m.n, _fundamental_circuits(m.structure.reduced))
+    return m.__dict__["mve_partition"]
 
 
 def is_rank_additive(c: Matrix, p: Partition) -> bool:

@@ -9,11 +9,13 @@ theta" conditions reduce to coefficient-wise zero tests.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from math import lcm, prod
+from typing import NamedTuple
 
 from .errors import UmvueError
 from .expr import format_poly, parse_poly
@@ -157,7 +159,8 @@ class CategoricalModel:
     @cached_property
     def structure(self) -> Structure:
         """The one elimination every analysis reads. It is kept on this
-        instance only: an equal model loaded afresh eliminates again."""
+        instance only, as is matroid.mve_partition's result: an equal model
+        loaded afresh eliminates again."""
         basis, c = coefficient_matrix(self)
         reduced = rref(c)
         return Structure(basis, c, reduced, kernel(reduced))
@@ -202,9 +205,10 @@ def domain_grid(m: CategoricalModel, count: int = POSITIVITY_GRID_POINTS) -> lis
 def validate_model(m: CategoricalModel) -> ValidationReport:
     """Check labels, exact normalization, nonzero cells and sampled positivity.
 
-    Positivity is only sampled on the interior grid, not proven on the whole
-    box; exact normalization and nonzero-cell checks are full polynomial
-    identities.
+    Positivity is only sampled on the interior grid (domain_grid), not proven
+    on the whole box: every nonzero cell's sign is read exactly, in integers
+    (_integer_terms), and the first point with a non-positive cell is reported.
+    Exact normalization and nonzero-cell checks are full polynomial identities.
     """
     issues: list[ValidationIssue] = []
 
@@ -222,7 +226,7 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
                 component=k,
             ))
 
-    residual = sum(m.pmf, Polynomial.zero()) - Polynomial.constant(1)
+    residual = Polynomial.sum(m.pmf) - Polynomial.constant(1)
     if not residual.is_zero():
         issues.append(ValidationIssue(
             "not-normalized",
@@ -235,15 +239,39 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
             issues.append(ValidationIssue("zero-component", f"cell {k} is identically zero", component=k))
 
     if not any(issue.code == "undeclared-parameter" for issue in issues):
-        for point in domain_grid(m):
-            bad = [k for k, p in enumerate(m.pmf) if not p.is_zero() and p.evaluate(point) <= 0]
+        cells = [(k, _integer_terms(p, m.parameters)) for k, p in enumerate(m.pmf) if not p.is_zero()]
+        monomials = {exps for _, terms in cells for _, exps in terms}
+        tops = [max((exps[i] for exps in monomials), default=0) for i in range(len(m.parameters))]
+        # each axis value a/b comes with its power table a^e * b^(top - e)
+        axes = [[(v, [v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)])
+                 for v in interior_grid(*m.domain[name])] for name, top in zip(m.parameters, tops)]
+        for point in product(*axes):
+            weight = {exps: prod([table[e] for (_, table), e in zip(point, exps)]) for exps in monomials}
+            bad = [k for k, terms in cells if sum(c * weight[exps] for c, exps in terms) <= 0]
             if bad:
-                where = ", ".join(f"{name}={val}" for name, val in point.items())
+                coords = tuple((name, v) for name, (v, _) in zip(m.parameters, point))
+                where = ", ".join(f"{name}={v}" for name, v in coords)
                 issues += [ValidationIssue("non-positive", f"cell {k} is not positive at {where}",
-                                           component=k, point=tuple(point.items())) for k in bad]
+                                           component=k, point=coords) for k in bad]
                 break
 
     return ValidationReport(ok=not issues, issues=tuple(issues))
+
+
+def _integer_terms(p: Polynomial, parameters: Sequence[str]) -> list[tuple[int, tuple[int, ...]]]:
+    """p times the lcm of its denominators, as (integer coefficient, exponent
+    per parameter) terms. At a point a_i/b_i (b_i > 0), weighting each term
+    by prod_i a_i^e_i * b_i^(top_i - e_i) gives p's value times a positive
+    integer, so the integer sum has p's sign."""
+    scale = lcm(*(c.denominator for c in p.terms.values()))
+    index = {name: i for i, name in enumerate(parameters)}
+    terms = []
+    for mono, c in p.terms.items():
+        exps = [0] * len(parameters)
+        for name, e in mono.exps:
+            exps[index[name]] = e
+        terms.append((c.numerator * (scale // c.denominator), tuple(exps)))
+    return terms
 
 
 def require_valid(m: CategoricalModel) -> CategoricalModel:
@@ -304,6 +332,10 @@ def model_from_dict(data: dict) -> CategoricalModel:
         }
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"bad domain: {exc}") from exc
+    for name, bounds in data["domain"].items():
+        if any(isinstance(x, float) for x in bounds):
+            # a JSON float is already rounded to binary (1e-400 reads as 0)
+            raise ModelFormatError(f"domain of {name!r} has a JSON float; write it as a string like \"1/2\"")
     pmf = [parse_poly(str(expr), parameters) for expr in data["pmf"]]
     try:
         return CategoricalModel(

@@ -7,8 +7,8 @@ are equal. No floating point enters any computation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import UmvueError
 
@@ -106,11 +106,21 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
-        return cls({ONE: as_fraction(value)})
+        c = as_fraction(value)
+        return _raw({ONE: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({Monomial({name: 1}): Fraction(1)})
+        return _raw({Monomial(((name, 1),)): Fraction(1)})
+
+    @staticmethod
+    def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of many polynomials, accumulated in one term map."""
+        acc: dict[Monomial, Fraction] = {}
+        for p in polys:
+            for mono, c in p.terms.items():
+                acc[mono] = acc[mono] + c if mono in acc else c
+        return _raw({mono: c for mono, c in acc.items() if c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -157,6 +167,11 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, Polynomial):
+            if len(other.terms) == 1 and ONE in other.terms:
+                other = other.terms[ONE]
+            elif len(self.terms) == 1 and ONE in self.terms:
+                self, other = other, self.terms[ONE]
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             if c == 0:

@@ -203,3 +203,66 @@ def test_oversized_power_is_input_error_and_fast(p23_file, capsys, target):
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert err.startswith("error:")
+
+
+def model_file(tmp_path, pmf, domain=("0", "1/4")):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "parameters": ["theta"],
+        "domain": {"theta": list(domain)},
+        "support": [str(k) for k in range(len(pmf))],
+        "pmf": pmf,
+    }), encoding="utf-8")
+    return path
+
+
+LONG_LITERAL = "9" * 5000
+DEEP = "(" * 5000 + "theta" + ")" * 5000
+
+
+@pytest.mark.parametrize("text, position", [("theta^²", 6), (LONG_LITERAL, 0),
+                                            ("theta + " + LONG_LITERAL, 8), (DEEP, 100)],
+                         ids=["superscript", "long", "long-second", "deep"])
+def test_bad_number_or_nesting_in_target_is_input_error(p23_file, capsys, text, position):
+    start = time.monotonic()
+    code, _, err = run(capsys, "estimate", str(p23_file), "--target", text)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:") and f"at position {position}" in err
+
+
+@pytest.mark.parametrize("text", ["theta^²", LONG_LITERAL, DEEP], ids=["superscript", "long", "deep"])
+def test_bad_number_or_nesting_in_pmf_is_input_error(tmp_path, capsys, text):
+    start = time.monotonic()
+    code, _, err = run(capsys, "analyze", str(model_file(tmp_path, [text, "1 - theta"])))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_decimal_digits_of_any_script_and_nesting_100_parse(tmp_path, capsys):
+    nested = "(" * 100 + "theta" + ")" * 100
+    path = model_file(tmp_path, [nested + "^٢", "1 - theta^2"])
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "theta^2" in out
+    code, out, _ = run(capsys, "estimate", str(path), "--target", nested)
+    assert code != 2
+    assert "target: theta" in out
+
+
+@pytest.mark.parametrize("domain", ["[0, 0.5]", '["0", 1e-400]', '[0.0, "1/2"]'])
+def test_json_float_in_domain_is_input_error(tmp_path, capsys, domain):
+    path = tmp_path / "m.json"
+    path.write_text('{"parameters": ["theta"], "domain": {"theta": %s}, "support": ["a", "b"],'
+                    ' "pmf": ["theta", "1 - theta"]}' % domain, encoding="utf-8")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "'theta'" in err
+
+
+def test_json_integer_and_string_domain_bounds_are_read(tmp_path, capsys):
+    path = model_file(tmp_path, ["theta", "1 - theta"], domain=(0, "1/2"))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "mve partition" in out

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from umvue.expr import (
+    MAX_NESTING,
     MAX_POWER_DEGREE,
     ParseError,
     UnknownParameter,
@@ -104,3 +105,23 @@ def test_power_degree_bound():
     for text in ("theta^513", "(theta^2)^257", "(1+theta)^2000", "2^513"):
         with pytest.raises(ParseError):
             parse_poly(text, ["theta"])
+
+
+def test_nesting_bound():
+    assert parse_poly("(" * MAX_NESTING + "theta" + ")" * MAX_NESTING, ["theta"]) == T
+    with pytest.raises(ParseError) as err:
+        parse_poly("1 + " + "(" * (MAX_NESTING + 1) + "theta" + ")" * (MAX_NESTING + 1), ["theta"])
+    assert err.value.position == 4 + MAX_NESTING
+
+
+def test_numbers_are_decimal_digits_of_any_script():
+    assert parse_poly("theta^\u0662 + \u0663/\u0664", ["theta"]) == T * T + Fraction(3, 4)
+    with pytest.raises(ParseError) as err:
+        parse_poly("theta^\u00b2", ["theta"])  # superscript two is a digit but not decimal
+    assert err.value.position == 6
+
+
+def test_literal_over_the_int_conversion_limit():
+    with pytest.raises(ParseError) as err:
+        parse_poly("theta + 1/" + "7" * 5000, ["theta"])
+    assert err.value.position == 10

@@ -1,0 +1,136 @@
+"""Differential tests of the integer and single-map fast paths against the
+plain Fraction code they replace."""
+
+import re
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from umvue import CategoricalModel, ValidationIssue, ValidationReport, validate_model
+from umvue.expr import format_poly, parse_poly
+from umvue.model import domain_grid
+from umvue.poly import Monomial, Polynomial
+
+NAMES = ("theta", "eta", "mu")
+UNDECLARED = "nu"
+
+
+def reference_validate(m: CategoricalModel) -> ValidationReport:
+    """validate_model as a plain loop: folded sums and Polynomial.evaluate
+    at every grid point, stopping at the first point with a bad cell."""
+    issues = []
+    if len(set(m.support)) != m.n:
+        dupes = sorted({s for s in m.support if m.support.count(s) > 1})
+        issues.append(ValidationIssue("duplicate-label", f"duplicate labels: {', '.join(dupes)}"))
+    for k, p in enumerate(m.pmf):
+        extra = p.parameters() - set(m.parameters)
+        if extra:
+            issues.append(ValidationIssue(
+                "undeclared-parameter",
+                f"cell {k} uses undeclared parameters: {', '.join(sorted(extra))}",
+                component=k,
+            ))
+    residual = Polynomial.zero()
+    for p in m.pmf:
+        residual = residual + p
+    residual = residual - Polynomial.constant(1)
+    if not residual.is_zero():
+        issues.append(ValidationIssue(
+            "not-normalized",
+            f"cell probabilities sum to 1 + ({format_poly(residual)})",
+            residual=residual,
+        ))
+    for k, p in enumerate(m.pmf):
+        if p.is_zero():
+            issues.append(ValidationIssue("zero-component", f"cell {k} is identically zero", component=k))
+    if not any(issue.code == "undeclared-parameter" for issue in issues):
+        for point in domain_grid(m):
+            bad = [k for k, p in enumerate(m.pmf) if not p.is_zero() and p.evaluate(point) <= 0]
+            if bad:
+                where = ", ".join(f"{name}={val}" for name, val in point.items())
+                for k in bad:
+                    issues.append(ValidationIssue("non-positive", f"cell {k} is not positive at {where}",
+                                                  component=k, point=tuple(point.items())))
+                break
+    return ValidationReport(ok=not issues, issues=tuple(issues))
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def polynomials(draw, names=NAMES, max_terms=5):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = Monomial({name: draw(st.integers(0, 3)) for name in names})
+        terms[mono] = terms.get(mono, Fraction(0)) + draw(fractions)
+    return Polynomial(terms)
+
+
+@st.composite
+def models(draw):
+    parameters = list(NAMES[:draw(st.integers(1, 3))])
+    domain = {}
+    for name in parameters:
+        lo, hi = sorted(draw(st.lists(fractions, min_size=2, max_size=2, unique=True)))
+        domain[name] = (lo, hi)
+    used = parameters + [UNDECLARED] if draw(st.integers(0, 9)) == 0 else parameters
+    cells = []
+    for _ in range(draw(st.integers(1, 5))):
+        # a positive constant offset makes cells that pass many grid points
+        offset = draw(st.sampled_from([0, 0, 1, 8, 200]))
+        cells.append(draw(polynomials(names=used)) + offset)
+    if draw(st.booleans()):  # normalize through the last cell
+        cells.append(Polynomial.constant(1) - Polynomial.sum(cells))
+    labels = [str(k % 4) if draw(st.integers(0, 9)) == 0 else str(k) for k in range(len(cells))]
+    return CategoricalModel(labels, cells, parameters, domain)
+
+
+@settings(max_examples=400, deadline=None)
+@given(models())
+def test_validate_model_matches_the_evaluate_loop(m):
+    assert validate_model(m) == reference_validate(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(polynomials(), max_size=8))
+def test_sum_equals_folded_addition(polys):
+    folded = Polynomial.zero()
+    for p in polys:
+        folded = folded + p
+    total = Polynomial.sum(polys)
+    assert total == folded
+    assert all(c != 0 for c in total.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(max_terms=8))
+def test_parse_inverts_format(p):
+    assert parse_poly(format_poly(p), NAMES) == p
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """Random source text in the parser's grammar."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        rationals = st.tuples(st.integers(0, 30), st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}")
+        atom = draw(st.one_of(st.sampled_from(NAMES), st.integers(0, 30).map(str), rationals))
+        return atom + (f"^{draw(st.integers(0, 3))}" if draw(st.booleans()) else "")
+    parts = [draw(expressions(depth=depth - 1)) for _ in range(draw(st.integers(1, 4)))]
+    text = parts[0]
+    for part in parts[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "*", "*-"])) + part
+    return f"({text})" + (f"^{draw(st.integers(0, 2))}" if draw(st.booleans()) else "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions())
+def test_parse_matches_sympy(text):
+    symbols = sympy.symbols(NAMES)
+    # a rational literal is one base in the grammar: 1/2^2 is (1/2)^2
+    source = re.sub(r"(\d+)/(\d+)", r"Rational(\1, \2)", text).replace("^", "**")
+    expected = sympy.Poly(sympy.sympify(source), *symbols)
+    got = parse_poly(text, NAMES)
+    assert {Monomial(dict(zip(NAMES, exps))): Fraction(int(c.p), int(c.q))
+            for exps, c in expected.terms() if c != 0} == got.terms

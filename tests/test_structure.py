@@ -5,7 +5,19 @@ import sys
 import pytest
 
 import umvue
-from umvue import analyze_model, coefficient_matrix, corpus_model, is_umvue, Statistic
+from umvue import (
+    CategoricalModel,
+    Polynomial,
+    Statistic,
+    ZeroColumn,
+    analyze_model,
+    coefficient_matrix,
+    corpus_model,
+    is_umvue,
+    mve_partition,
+    parse_poly,
+    umvue_for,
+)
 
 
 @pytest.fixture
@@ -48,3 +60,30 @@ def test_an_equal_model_eliminates_again(eliminations):
     assert second == first and second is not first
     analyze_model(second)
     assert len(eliminations) == 2
+
+
+def test_the_mve_partition_is_joined_once_per_model(monkeypatch):
+    calls = []
+    original = umvue.matroid._fundamental_circuits
+
+    def counting(reduced):
+        calls.append(reduced)
+        return original(reduced)
+
+    monkeypatch.setattr(umvue.matroid, "_fundamental_circuits", counting)
+    m = corpus_model("paper-2-3")
+    analyze_model(m)
+    for target in ("1", "theta", "theta + theta^2", "theta^2"):
+        umvue_for(m, parse_poly(target, ["theta"]))
+    assert len(calls) == 1
+    fresh = corpus_model("paper-2-3")
+    assert mve_partition(fresh) == mve_partition(m)
+    assert len(calls) == 2
+
+
+def test_a_zero_column_raises_on_every_call():
+    t = Polynomial.variable("theta")
+    m = CategoricalModel(["a", "b", "c"], [t, Polynomial.zero(), 1 - t], ["theta"], {"theta": (0, 1)})
+    for _ in range(2):
+        with pytest.raises(ZeroColumn):
+            mve_partition(m)
