@@ -41,14 +41,12 @@ from .corpus import (
 )
 from .errors import UmvueError
 from .expr import ParseError, UnknownParameter, ZeroDenominator, format_poly, parse_poly
-from .linalg import Matrix, null_space, rank, rank_of_vectors, rref
+from .linalg import Matrix, null_space, rank, rref
 from .matroid import (
     GroundSetMismatch,
     ZeroColumn,
     common_coarsening,
-    common_refinement,
     fundamental_circuit_graph,
-    is_rank_additive,
     mve_partition,
     refines,
 )

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from .errors import UmvueError
+from .expr import MAX_POWER_DEGREE
 from .model import CategoricalModel, require_valid, validate_model
 from .poly import Monomial, Polynomial
 
@@ -59,15 +60,19 @@ def bernoulli_model() -> CategoricalModel:
     )
 
 
+def _check_size(family: str, key: str, value: int, top: int = MAX_POWER_DEGREE) -> None:
+    """Sizes whose model file reads back: no power above the parser's bound."""
+    if not 1 <= value <= top:
+        raise BadParam(f"{family} needs 1 <= {key} <= {top}, got {value}")
+
+
 def binomial_model(n: int) -> CategoricalModel:
-    if n < 1:
-        raise BadParam(f"binomial needs n >= 1, got {n}")
+    _check_size("binomial", "n", n)
     t = _theta()
-    one_minus = Polynomial.constant(1) - t
-    pmf = [
-        (t ** k) * (one_minus ** (n - k)) * math.comb(n, k)
-        for k in range(n + 1)
-    ]
+    one_minus = [Polynomial.constant(1)]  # (1-theta)^j, each from the last
+    for _ in range(n):
+        one_minus.append(one_minus[-1] - one_minus[-1] * t)
+    pmf = [(t ** k) * one_minus[n - k] * math.comb(n, k) for k in range(n + 1)]
     return CategoricalModel(
         support=[str(k) for k in range(n + 1)],
         pmf=pmf,
@@ -78,8 +83,7 @@ def binomial_model(n: int) -> CategoricalModel:
 
 def constant_model(n: int) -> CategoricalModel:
     """Parameter-free uniform model; useful as a product identity for n=1."""
-    if n < 1:
-        raise BadParam(f"constant needs n >= 1, got {n}")
+    _check_size("constant", "n", n)
     return CategoricalModel(
         support=[str(k + 1) for k in range(n)],
         pmf=[Polynomial.constant(Fraction(1, n))] * n,
@@ -95,8 +99,7 @@ def lehmann_trunc_model(k: int) -> CategoricalModel:
     (1-theta)*theta^k on label "T". Normalization is an exact identity:
     theta + (1-theta)(1-theta^k) + (1-theta)theta^k = 1.
     """
-    if k < 1:
-        raise BadParam(f"lehmann-trunc needs k >= 1, got {k}")
+    _check_size("lehmann-trunc", "k", k, MAX_POWER_DEGREE - 1)  # its top degree is k + 1
     t = _theta()
     one_minus = Polynomial.constant(1) - t
     pmf = [t]

@@ -22,6 +22,7 @@ parameter name), with explicit '*' and '^', so parse_poly(format_poly(p)) == p.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -188,6 +189,15 @@ def parse_poly(expr: str, parameters: Sequence[str]) -> Polynomial:
     return _Parser(_tokenize(expr), parameters).parse()
 
 
+def number_text(x: Fraction) -> str:
+    """str(x); a number past the interpreter's int-to-string limit is a
+    UmvueError (exit 2) rather than a ValueError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise UmvueError(f"a number has more than {sys.get_int_max_str_digits()} digits and cannot be printed") from None
+
+
 def format_poly(p: Polynomial) -> str:
     """Canonical string form; round-trips through parse_poly."""
     if p.is_zero():
@@ -197,11 +207,11 @@ def format_poly(p: Polynomial) -> str:
         mag = abs(coeff)
         factors = [name if e == 1 else f"{name}^{e}" for name, e in mono.exps]
         if not factors:
-            body = str(mag)
+            body = number_text(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = number_text(mag) + "*" + "*".join(factors)
         if not pieces:
             pieces.append(body if coeff > 0 else "-" + body)
         else:

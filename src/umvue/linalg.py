@@ -25,7 +25,7 @@ class Matrix:
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ncols: int | None = None):
         self.rows: tuple[Vector, ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in rows
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
         )
         self.nrows = len(self.rows)
         if self.nrows:
@@ -54,9 +54,6 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
         return tuple(sum((a * b for a, b in zip(row, v) if a and b), Fraction(0)) for row in self.rows)
-
-    def select_columns(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix([[row[j] for j in cols] for row in self.rows], ncols=len(cols))
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,12 +115,6 @@ def rref(m: Matrix) -> RrefResult:
 
 def rank(m: Matrix) -> int:
     return rref(m).rank
-
-
-def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a set of vectors (given as rows)."""
-    vecs = [tuple(v) for v in vectors]
-    return rank(Matrix(vecs)) if vecs else 0
 
 
 def null_space(m: Matrix) -> list[Vector]:

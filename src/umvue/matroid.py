@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import UmvueError
-from .linalg import Matrix, RrefResult, rank, rref
+from .linalg import Matrix, RrefResult, rref
 from .model import CategoricalModel, Partition
 
 
@@ -74,29 +74,12 @@ def mve_partition(m: CategoricalModel) -> Partition:
     return m.__dict__["mve_partition"]
 
 
-def is_rank_additive(c: Matrix, p: Partition) -> bool:
-    """Direct-sum certificate: blockwise ranks add up to the total rank."""
-    if p.n != c.ncols:
-        raise GroundSetMismatch(f"partition covers {p.n} columns, matrix has {c.ncols}")
-    total = rank(c)
-    parts = sum(rank(c.select_columns(block)) for block in p.blocks)
-    return parts == total
-
-
 def refines(p: Partition, q: Partition) -> bool:
     """True iff every block of p is contained in some block of q."""
     if p.n != q.n:
         raise GroundSetMismatch(f"ground sets differ: {p.n} vs {q.n}")
     owner = {k: j for j, block in enumerate(q.blocks) for k in block}
     return all(len({owner[k] for k in block}) == 1 for block in p.blocks)
-
-
-def common_refinement(p: Partition, q: Partition) -> Partition:
-    """Coarsest partition refining both: all non-empty pairwise intersections."""
-    if p.n != q.n:
-        raise GroundSetMismatch(f"ground sets differ: {p.n} vs {q.n}")
-    intersections = (set(a) & set(b) for a in p.blocks for b in q.blocks)
-    return Partition(i for i in intersections if i)
 
 
 def common_coarsening(ps: Sequence[Partition]) -> Partition:

@@ -18,7 +18,7 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from .errors import UmvueError
-from .expr import format_poly, parse_poly
+from .expr import format_poly, number_text, parse_poly
 from .linalg import Matrix, RrefResult, Vector, kernel, rref
 from .poly import Monomial, Polynomial, as_fraction, coeff_vector
 
@@ -61,7 +61,7 @@ class Statistic:
         return Statistic(tuple(a * b for a, b in zip(self.values, other.values)))
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self.values) + ")"
+        return "(" + ", ".join(map(number_text, self.values)) + ")"
 
 
 @dataclass(frozen=True)
@@ -190,23 +190,17 @@ class ValidationReport:
     issues: tuple[ValidationIssue, ...]
 
 
-def interior_grid(lo: Fraction, hi: Fraction, count: int = POSITIVITY_GRID_POINTS) -> list[Fraction]:
+def interior_grid(lo: Fraction, hi: Fraction) -> list[Fraction]:
     """Deterministic rational sample points strictly inside (lo, hi)."""
-    step = (hi - lo) / (count + 1)
-    return [lo + step * i for i in range(1, count + 1)]
-
-
-def domain_grid(m: CategoricalModel, count: int = POSITIVITY_GRID_POINTS) -> list[dict[str, Fraction]]:
-    """Cartesian grid of interior sample points, one axis per parameter."""
-    axes = [interior_grid(*m.domain[name], count=count) for name in m.parameters]
-    return [dict(zip(m.parameters, point)) for point in product(*axes)]
+    step = (hi - lo) / (POSITIVITY_GRID_POINTS + 1)
+    return [lo + step * i for i in range(1, POSITIVITY_GRID_POINTS + 1)]
 
 
 def validate_model(m: CategoricalModel) -> ValidationReport:
     """Check labels, exact normalization, nonzero cells and sampled positivity.
 
-    Positivity is only sampled on the interior grid (domain_grid), not proven
-    on the whole box: every nonzero cell's sign is read exactly, in integers
+    Positivity is only sampled on the product of the interior_grid axes, not
+    proven on the whole box: every nonzero cell's sign is read exactly, in integers
     (_integer_terms), and the first point with a non-positive cell is reported.
     Exact normalization and nonzero-cell checks are full polynomial identities.
     """

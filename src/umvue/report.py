@@ -16,7 +16,7 @@ from .analysis import (
     zero_mean_space,
 )
 from .errors import UmvueError
-from .expr import format_poly
+from .expr import format_poly, number_text
 from .matroid import mve_partition
 from .model import CategoricalModel
 
@@ -96,7 +96,7 @@ def analyze_model(m: CategoricalModel) -> AnalysisReport:
         pmf=tuple(format_poly(p) for p in m.pmf),
         mve_partition=tuple(tuple(b) for b in mve.labelled(m.support)),
         zero_mean_basis=tuple(
-            tuple(str(x) for x in chi.values) for chi in zero_mean_space(m)
+            tuple(map(number_text, chi.values)) for chi in zero_mean_space(m)
         ),
         umvue_functionals=tuple(format_poly(pi) for pi in umvue_functionals(m)),
         minimal_sufficient_partition=tuple(tuple(b) for b in ms.labelled(m.support)),

@@ -1,21 +1,21 @@
-"""Shared test utilities: seeded generators and independent oracles."""
+"""Shared test utilities: seeded generators and independent oracles.
+
+The oracles (ranks, spans, rank additivity, maximality, common refinement)
+read only data: polynomial terms and the coefficient matrix C as built. Every
+rank is taken by sympy, so no oracle shares the engine's elimination.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
-from umvue import (
-    CategoricalModel,
-    Matrix,
-    Partition,
-    Statistic,
-    coefficient_matrix,
-    is_rank_additive,
-    rank_of_vectors,
-)
-from umvue.poly import Monomial, Polynomial, coeff_vector
+import sympy
+
+from umvue import CategoricalModel, Matrix, Partition, Statistic, coefficient_matrix
+from umvue.poly import Monomial, Polynomial
 
 
 def random_fraction(rng: random.Random, span: int = 5) -> Fraction:
@@ -69,16 +69,42 @@ def random_polynomial(rng: random.Random, names=("theta", "eta"), max_degree: in
     return Polynomial(terms)
 
 
+def to_sympy(rows) -> sympy.Matrix:
+    """Rows of Fractions (or ints) as a sympy matrix of Rationals."""
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def sympy_rank(rows) -> int:
+    """Rank over the rationals of some rows (none has rank 0), by sympy."""
+    return to_sympy(rows).rank()
+
+
+def coefficient_rows(polys) -> list[list[Fraction]]:
+    """Each polynomial's coefficients over the union of their monomials."""
+    basis = sorted({mono for p in polys for mono in p.terms}, key=Monomial.sort_key)
+    return [[p.terms.get(mono, Fraction(0)) for mono in basis] for p in polys]
+
+
 def spans_equal(polys_a, polys_b) -> bool:
     """Exact mutual containment of the coefficient spans of two polynomial sets."""
-    monos = set()
-    for p in list(polys_a) + list(polys_b):
-        monos.update(p.terms)
-    basis = sorted(monos, key=Monomial.sort_key)
-    vecs_a = [coeff_vector(p, basis) for p in polys_a]
-    vecs_b = [coeff_vector(p, basis) for p in polys_b]
-    joint = rank_of_vectors(vecs_a + vecs_b)
-    return rank_of_vectors(vecs_a) == joint and rank_of_vectors(vecs_b) == joint
+    polys_a, polys_b = list(polys_a), list(polys_b)
+    rows = coefficient_rows(polys_a + polys_b)
+    joint = sympy_rank(rows)
+    return sympy_rank(rows[:len(polys_a)]) == joint and sympy_rank(rows[len(polys_a):]) == joint
+
+
+def column_ranks(m: CategoricalModel):
+    """rank(cols): sympy's rank of the columns cols (a tuple) of m's C."""
+    _, c = coefficient_matrix(m)
+    columns = [[row[j] for row in c.rows] for j in range(c.ncols)]
+    return cache(lambda cols: sympy_rank(columns[j] for j in cols))
+
+
+def is_rank_additive(m: CategoricalModel, p: Partition, rank=None) -> bool:
+    """Direct-sum certificate: the blocks' column ranks add up to C's rank."""
+    rank = rank or column_ranks(m)
+    assert p.n == m.n
+    return sum(rank(block) for block in p.blocks) == rank(tuple(range(m.n)))
 
 
 def proper_splits(block):
@@ -94,19 +120,21 @@ def proper_splits(block):
 
 
 def check_maximality(m: CategoricalModel, p: Partition) -> bool:
-    """Oracle for maximality: splitting any block must break rank additivity."""
-    _, c = coefficient_matrix(m)
-    if not is_rank_additive(c, p):
+    """Oracle for maximality: p is rank additive, and splitting any block
+    breaks rank additivity. With the other blocks unchanged, the split is
+    additive exactly when the two halves' ranks add up to the block's."""
+    rank = column_ranks(m)
+    if not is_rank_additive(m, p, rank):
         return False
-    for j, block in enumerate(p.blocks):
-        if len(block) < 2:
-            continue
-        for left, right in proper_splits(block):
-            others = [b for i, b in enumerate(p.blocks) if i != j]
-            split = Partition(others + [left, right])
-            if is_rank_additive(c, split):
-                return False
-    return True
+    return not any(rank(tuple(left)) + rank(tuple(right)) == rank(block)
+                   for block in p.blocks for left, right in proper_splits(block))
+
+
+def common_refinement(p: Partition, q: Partition) -> Partition:
+    """Coarsest partition refining both: all non-empty pairwise intersections."""
+    assert p.n == q.n
+    intersections = (set(a) & set(b) for a in p.blocks for b in q.blocks)
+    return Partition(i for i in intersections if i)
 
 
 def permuted_model(m: CategoricalModel, perm: list[int]) -> CategoricalModel:

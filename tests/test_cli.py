@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from umvue import analyze_model, corpus_model, load_model, render_text, require_valid
 from umvue.cli import main
 
 
@@ -266,3 +267,71 @@ def test_json_integer_and_string_domain_bounds_are_read(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(path))
     assert code == 0
     assert "mve partition" in out
+
+
+# nine factors of 10^500 make a 4501-digit coefficient, past the interpreter's
+# int-to-string limit (4300 digits)
+HUGE_TARGET = "*".join(["10^500"] * 9) + "*theta"
+
+
+def test_coefficient_too_long_to_print_in_target_is_input_error(p23_file, capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "estimate", str(p23_file), "--target", HUGE_TARGET)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "digits" in err
+
+
+def test_product_with_coefficient_too_long_to_print_is_input_error(tmp_path, capsys):
+    c = str(10 ** 2199)  # 2200 digits; the product has c^2 with 4399
+    paths = []
+    for name in ("theta", "tau"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "parameters": [name],
+            "domain": {name: ["0", f"1/{c}"]},
+            "support": ["a", "b"],
+            "pmf": [f"{c}*{name}", f"1 - {c}*{name}"],
+        }), encoding="utf-8")
+        paths.append(str(path))
+    start = time.monotonic()
+    code, out, err = run(capsys, "product", *paths)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "digits" in err
+
+
+def test_corpus_emit_at_the_size_bound_reads_back(tmp_path, capsys):
+    # lehmann-trunc's top degree is k + 1, so k = 511 is its largest size
+    path = tmp_path / "lt.json"
+    assert main(["corpus", "emit", "lehmann-trunc", "--param", "k=511", "-o", str(path)]) == 0
+    assert require_valid(load_model(path)) == corpus_model("lehmann-trunc", {"k": 511})
+    path = tmp_path / "const.json"
+    assert main(["corpus", "emit", "constant", "--param", "n=512", "-o", str(path)]) == 0
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "cells: 512" in out
+
+
+@pytest.mark.parametrize("name, param", [("lehmann-trunc", "k=512"), ("binomial", "n=513"),
+                                         ("constant", "n=513"), ("binomial", "n=1000000")])
+def test_corpus_size_over_the_bound_is_input_error_and_fast(capsys, name, param):
+    start = time.monotonic()
+    code, out, err = run(capsys, "corpus", "emit", name, "--param", param)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "<=" in err
+
+
+def test_corpus_emit_then_analyze_round_trip(tmp_path, capsys):
+    for name, param in (("binomial", "n=6"), ("lehmann-trunc", "k=5"), ("constant", "n=3")):
+        path = tmp_path / f"{name}.json"
+        assert main(["corpus", "emit", name, "--param", param, "-o", str(path)]) == 0
+        key, value = param.split("=")
+        expected = render_text(analyze_model(corpus_model(name, {key: int(value)})))
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert out == expected

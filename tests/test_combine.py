@@ -116,9 +116,9 @@ def test_slice_two_param_demo():
 
 def test_mve_coarsenings_closed_under_common_refinement():
     # coarsenings of the maximal partition stay coarser under common refinement
-    from umvue import common_refinement, random_model
+    from umvue import random_model
 
-    from helpers import random_coarsening
+    from helpers import common_refinement, random_coarsening
 
     rng = random.Random(21)
     for seed in range(40):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,13 @@ def test_unknown_name():
         corpus_model("nope")
 
 
+def test_binomial_cells_match_the_closed_form():
+    one_minus = Polynomial.constant(1) - T
+    for n in (1, 2, 12, 40):
+        expected = [T ** k * one_minus ** (n - k) * math.comb(n, k) for k in range(n + 1)]
+        assert list(corpus_model("binomial", {"n": n}).pmf) == expected
+
+
 def test_bad_params():
     with pytest.raises(BadParam):
         corpus_model("binomial", {})
@@ -95,6 +103,8 @@ def test_bad_params():
         corpus_model("paper-2-3", {"n": 1})
     with pytest.raises(BadParam):
         corpus_model("lehmann-trunc", {"k": -1})
+    with pytest.raises(BadParam):
+        corpus_model("lehmann-trunc", {"k": 512})
 
 
 def test_random_model_contract():

@@ -3,17 +3,24 @@ plain Fraction code they replace."""
 
 import re
 from fractions import Fraction
+from itertools import product
 
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from umvue import CategoricalModel, ValidationIssue, ValidationReport, validate_model
 from umvue.expr import format_poly, parse_poly
-from umvue.model import domain_grid
+from umvue.model import interior_grid
 from umvue.poly import Monomial, Polynomial
 
 NAMES = ("theta", "eta", "mu")
 UNDECLARED = "nu"
+
+
+def domain_grid(m: CategoricalModel) -> list[dict[str, Fraction]]:
+    """Cartesian grid of interior sample points, one axis per parameter."""
+    axes = [interior_grid(*m.domain[name]) for name in m.parameters]
+    return [dict(zip(m.parameters, point)) for point in product(*axes)]
 
 
 def reference_validate(m: CategoricalModel) -> ValidationReport:

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
 
-import sympy
 from hypothesis import given, settings, strategies as st
 
-from umvue.linalg import Matrix, bareiss, null_space, rank, rank_of_vectors, rref, solve_in_span
+from umvue.linalg import Matrix, bareiss, null_space, rank, rref, solve_in_span
 
-from helpers import matrix_of
+from helpers import matrix_of, sympy_rank, to_sympy
 
 
 def test_rref_identity():
@@ -82,7 +81,7 @@ def test_null_space_is_exact_kernel_basis(seed):
         lead = next(x for x in vec if x != 0)
         assert lead == 1
     # basis vectors are linearly independent
-    assert rank_of_vectors(basis) == len(basis)
+    assert sympy_rank(basis) == len(basis)
 
 
 @given(st.integers(0, 10**6))
@@ -118,10 +117,6 @@ def matrices(draw, entries=ENTRIES):
     zero_columns = draw(st.sets(st.integers(0, ncols - 1)))
     return Matrix([[Fraction(0) if j in zero_columns else x for j, x in enumerate(row)]
                    for row in rows])
-
-
-def to_sympy(rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
 
 
 def from_sympy(x) -> Fraction:

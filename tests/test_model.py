@@ -14,7 +14,7 @@ from umvue import (
     require_valid,
     validate_model,
 )
-from umvue.model import domain_grid, interior_grid
+from umvue.model import interior_grid
 from umvue.poly import ONE, Monomial, Polynomial
 
 from helpers import random_partition
@@ -109,8 +109,15 @@ def test_interior_grid_is_strictly_inside():
 
 
 def test_domain_grid_of_parameter_free_model():
-    m = corpus_model("constant", {"n": 2})
-    assert domain_grid(m) == [{}]
+    # the grid over an empty domain is the one empty point, and it is checked
+    m = CategoricalModel(
+        support=["a", "b"],
+        pmf=[Polynomial.constant(2), Polynomial.constant(-1)],
+        parameters=[],
+        domain={},
+    )
+    bad = [(i.component, i.point) for i in validate_model(m).issues if i.code == "non-positive"]
+    assert bad == [(1, ())]
 
 
 def test_coefficient_matrix_p23():
