@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -68,11 +67,13 @@ def _check_size(family: str, key: str, value: int, top: int = MAX_POWER_DEGREE) 
 
 def binomial_model(n: int) -> CategoricalModel:
     _check_size("binomial", "n", n)
-    t = _theta()
-    one_minus = [Polynomial.constant(1)]  # (1-theta)^j, each from the last
-    for _ in range(n):
-        one_minus.append(one_minus[-1] - one_minus[-1] * t)
-    pmf = [(t ** k) * one_minus[n - k] * math.comb(n, k) for k in range(n + 1)]
+    pascal = [[1]]  # pascal[m][j] = C(m, j)
+    for m in range(n):
+        pascal.append([a + b for a, b in zip([0] + pascal[m], pascal[m] + [0])])
+    powers = [Monomial({THETA: d}) for d in range(n + 1)]
+    # cell k is C(n,k) theta^k (1-theta)^(n-k), written out term by term
+    pmf = [Polynomial((powers[k + j], (-1) ** j * pascal[n][k] * c)
+                      for j, c in enumerate(pascal[n - k])) for k in range(n + 1)]
     return CategoricalModel(
         support=[str(k) for k in range(n + 1)],
         pmf=pmf,
@@ -173,12 +174,10 @@ def _random_monomial(rng: random.Random, names: list[str], max_degree: int) -> M
 
 def _random_positive_poly(rng: random.Random, names: list[str], max_degree: int) -> Polynomial:
     """A nonzero polynomial with positive coefficients (positive on (0,1]^d)."""
-    terms: dict[Monomial, Fraction] = {}
-    for _ in range(rng.randint(1, 3)):
-        mono = _random_monomial(rng, names, max_degree)
-        coeff = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    return Polynomial(terms)
+    # each term draws its monomial first, then its coefficient: seeded models depend on the order
+    return Polynomial([(_random_monomial(rng, names, max_degree),
+                        Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+                       for _ in range(rng.randint(1, 3))])
 
 
 def random_model(seed: int, n: int, max_degree: int, n_params: int) -> CategoricalModel:

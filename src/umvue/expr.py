@@ -124,7 +124,7 @@ class _Parser:
             op = self.take()
             rhs = self.term()
             terms.append(rhs if op.kind == "+" else -rhs)
-        return terms[0] if len(terms) == 1 else Polynomial.sum(terms)
+        return Polynomial.sum(terms)
 
     def term(self) -> Polynomial:
         result = self.unary()

@@ -319,17 +319,17 @@ def model_from_dict(data: dict) -> CategoricalModel:
             or not isinstance(data["pmf"], list) or not isinstance(data["domain"], dict):
         raise ModelFormatError("parameters, support and pmf must be arrays; domain must be an object")
     parameters = [str(p) for p in data["parameters"]]
-    try:
-        domain = {
-            name: (as_fraction(str(lo)), as_fraction(str(hi)))
-            for name, (lo, hi) in data["domain"].items()
-        }
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"bad domain: {exc}") from exc
     for name, bounds in data["domain"].items():
+        if not isinstance(bounds, list) or len(bounds) != 2:
+            raise ModelFormatError(f"domain of {name!r} must be a two-element array [lo, hi]")
         if any(isinstance(x, float) for x in bounds):
             # a JSON float is already rounded to binary (1e-400 reads as 0)
             raise ModelFormatError(f"domain of {name!r} has a JSON float; write it as a string like \"1/2\"")
+    try:
+        domain = {name: (as_fraction(str(lo)), as_fraction(str(hi)))
+                  for name, (lo, hi) in data["domain"].items()}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ModelFormatError(f"bad domain: {exc}") from exc
     pmf = [parse_poly(str(expr), parameters) for expr in data["pmf"]]
     try:
         return CategoricalModel(
@@ -349,8 +349,8 @@ def model_to_json(m: CategoricalModel) -> str:
 def model_from_json(text: str) -> CategoricalModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also too deep or a too long integer
+        raise ModelFormatError(f"unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelFormatError("model JSON must be an object")
     return model_from_dict(data)
@@ -358,4 +358,8 @@ def model_from_json(text: str) -> CategoricalModel:
 
 def load_model(path) -> CategoricalModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"model file is not UTF-8 text: {exc}") from exc
+    return model_from_json(text)

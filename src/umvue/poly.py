@@ -7,6 +7,7 @@ are equal. No floating point enters any computation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -91,14 +92,7 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, RationalLike] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[Monomial, Fraction] = {}
-        for mono, coeff in items:
-            c = as_fraction(coeff)
-            if c != 0:
-                cleaned[mono] = cleaned.get(mono, Fraction(0)) + c
-                if cleaned[mono] == 0:
-                    del cleaned[mono]
-        self.terms = cleaned
+        self.terms = _collect((mono, as_fraction(c)) for mono, c in items).terms
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -116,11 +110,7 @@ class Polynomial:
     @staticmethod
     def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
         """The sum of many polynomials, accumulated in one term map."""
-        acc: dict[Monomial, Fraction] = {}
-        for p in polys:
-            for mono, c in p.terms.items():
-                acc[mono] = acc[mono] + c if mono in acc else c
-        return _raw({mono: c for mono, c in acc.items() if c})
+        return _collect(term for p in polys for term in p.terms.items())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,15 +135,7 @@ class Polynomial:
         return max((m.degree for m in self.terms), default=0)
 
     def __add__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = merged.get(mono, Fraction(0)) + c
-            if s == 0:
-                merged.pop(mono, None)
-            else:
-                merged[mono] = s
-        return _raw(merged)
+        return Polynomial.sum((self, _coerce(other)))
 
     __radd__ = __add__
 
@@ -178,16 +160,8 @@ class Polynomial:
                 return Polynomial.zero()
             return _raw({m: v * c for m, v in self.terms.items()})
         other = _coerce(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return _raw(out)
+        return _collect((m1 * m2, c1 * c2)
+                        for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -213,24 +187,10 @@ class Polynomial:
         contains only the remaining unbound parameters.
         """
         values = {name: as_fraction(v) for name, v in bindings.items()}
-        out: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            factor = coeff
-            kept: dict[str, int] = {}
-            for name, e in mono.exps:
-                if name in values:
-                    factor *= values[name] ** e
-                else:
-                    kept[name] = e
-            if factor == 0:
-                continue
-            key = Monomial(kept)
-            total = out.get(key, Fraction(0)) + factor
-            if total == 0:
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return _raw(out)
+        return _collect((Monomial((n, e) for n, e in mono.exps if n not in values),
+                         math.prod((values[n] ** e for n, e in mono.exps if n in values),
+                                   start=coeff))
+                        for mono, coeff in self.terms.items())
 
     def evaluate(self, bindings: Mapping[str, RationalLike]) -> Fraction:
         """Evaluate at a point; every parameter of the polynomial must be bound."""
@@ -258,6 +218,14 @@ def _coerce(value) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.constant(as_fraction(value))
+
+
+def _collect(terms: Iterable[tuple[Monomial, Fraction]]) -> Polynomial:
+    """Merge like terms: add the coefficients of equal monomials, drop zero sums."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, c in terms:
+        acc[mono] = acc[mono] + c if mono in acc else c
+    return _raw({mono: c for mono, c in acc.items() if c})
 
 
 def _raw(terms: dict[Monomial, Fraction]) -> Polynomial:

@@ -262,6 +262,38 @@ def test_json_float_in_domain_is_input_error(tmp_path, capsys, domain):
     assert err.startswith("error:") and "'theta'" in err
 
 
+@pytest.mark.parametrize("domain", ['"01"', '{"0": "a", "1": "b"}', '["0", "1/2", "1"]', '"0"'],
+                         ids=["string", "object", "three", "scalar"])
+def test_domain_entry_that_is_not_a_pair_is_input_error(tmp_path, capsys, domain):
+    path = tmp_path / "m.json"
+    path.write_text('{"parameters": ["theta"], "domain": {"theta": %s}, "support": ["a", "b"],'
+                    ' "pmf": ["theta", "1 - theta"]}' % domain, encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'theta'" in err and "two-element array" in err
+
+
+MALFORMED_FILES = {
+    "deep": b"[" * 100000,
+    "long-integer": ('{"parameters": ["theta"], "domain": {"theta": [0, %s]}, "support": ["a", "b"],'
+                     ' "pmf": ["theta", "1 - theta"]}' % ("1" * 5000)).encode(),
+    "utf-16-bom": b"\xff\xfe{}",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+def test_unreadable_model_file_is_input_error_and_fast(tmp_path, capsys, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    start = time.monotonic()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_json_integer_and_string_domain_bounds_are_read(tmp_path, capsys):
     path = model_file(tmp_path, ["theta", "1 - theta"], domain=(0, "1/2"))
     code, out, _ = run(capsys, "analyze", str(path))

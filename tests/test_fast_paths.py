@@ -141,3 +141,54 @@ def test_parse_matches_sympy(text):
     got = parse_poly(text, NAMES)
     assert {Monomial(dict(zip(NAMES, exps))): Fraction(int(c.p), int(c.q))
             for exps, c in expected.terms() if c != 0} == got.terms
+
+
+SYMBOLS = dict(zip(NAMES, sympy.symbols(NAMES)))
+
+
+def rational(c: Fraction) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_sympy(terms) -> sympy.Expr:
+    """A sympy expression summed from (monomial, coefficient) pairs as given."""
+    return sympy.Add(*(rational(c) * sympy.Mul(*(SYMBOLS[name] ** e for name, e in mono.exps))
+                       for mono, c in terms))
+
+
+def sympy_terms(expr: sympy.Expr) -> dict[Monomial, Fraction]:
+    """The nonzero terms of expr, read off sympy's own expansion."""
+    return {Monomial(dict(zip(NAMES, exps))): Fraction(int(c.p), int(c.q))
+            for exps, c in sympy.Poly(expr, *SYMBOLS.values()).terms() if c != 0}
+
+
+@st.composite
+def repeated_terms(draw):
+    """Pairs over a pool of three monomials, so like terms repeat; some pairs
+    come back negated, so sums cancel."""
+    pool = [Monomial({name: draw(st.integers(0, 2)) for name in NAMES}) for _ in range(3)]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), fractions), max_size=8))
+    return pairs + [(mono, -c) for mono, c in pairs if draw(st.booleans())]
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_terms(), polynomials(), polynomials(), fractions, st.integers(0, 3),
+       st.dictionaries(st.sampled_from(NAMES), fractions))
+def test_arithmetic_matches_sympy(pairs, p, q, c, exponent, bindings):
+    P, Q = to_sympy(p.terms.items()), to_sympy(q.terms.items())
+    constant, C = Polynomial.constant(c), rational(c)
+    cases = [
+        (Polynomial(pairs), to_sympy(pairs)),
+        (p + q, P + Q),
+        (p - q, P - Q),
+        (p * q, P * Q),
+        (p * c, P * C),
+        (c * p, C * P),
+        (p * constant, P * C),
+        (constant * p, C * P),
+        (p ** exponent, P ** exponent),
+        (p.substitute(bindings), P.subs({SYMBOLS[name]: rational(v) for name, v in bindings.items()})),
+        (p.substitute(dict.fromkeys(NAMES, c)), P.subs(dict.fromkeys(SYMBOLS.values(), C))),
+    ]
+    for got, expected in cases:
+        assert got.terms == sympy_terms(expected)
