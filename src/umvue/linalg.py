@@ -1,18 +1,26 @@
 """Exact rational matrices: reduced row echelon form, rank, null space.
 
-Elimination is fraction-free: each column is scaled by the LCM of its
-denominators, which keeps the pivot columns (the column matroid) and only
-rescales the kernel, and the integer matrix is reduced by Gauss-Jordan with
-Bareiss's exact division by the previous pivot (Bareiss 1968; Nakos, Turner
-and Williams 1997). No gcd is taken until the rational RREF is read back.
+Elimination is fraction-free and sparse. Each column is scaled by the LCM
+of its denominators, which keeps the pivot columns (the column matroid) and
+only rescales the kernel, and stored as {row: integer}. The columns are
+then taken in order. Each is reduced, in pivot order, against the earlier
+pivot vectors whose pivot rows it touches, by integer steps w <- a*w - b*v
+with gcd(a, b) divided out, and it carries the integer combination of
+original columns that it stands for. A column that leaves a remainder is
+the next pivot; the RREF is unique, so any of the remainder's rows may be
+its pivot row. A column reduced to zero leaves a kernel relation, and that
+relation is its expansion over the earlier pivot columns, i.e. its RREF
+column: no back-substitution is needed. A triangular or banded matrix
+therefore costs about its nonzeros, not its dense size.
 The null-space basis is normalized deterministically: one vector per free
 column in ascending column order, its leading nonzero entry scaled to 1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -76,41 +84,64 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place; each division
-    by the previous pivot is exact. Returns the pivot columns and the last
-    pivot d: row r < rank is then d times row r of the RREF, the rest are 0."""
-    pivots: list[int] = []
-    d = 1
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if found is None:
-            continue
-        rows[r], rows[found] = rows[found], rows[r]
-        prow, p = rows[r], rows[r][c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-        pivots.append(c)
-        d = p
-    return pivots, d
+def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    """The sparse integer vector a*x - b*y, without its zero entries."""
+    out = {i: a * xi for i, xi in x.items()} if a != 1 else dict(x)
+    for i, yi in y.items():
+        t = out.get(i, 0) - b * yi
+        if t:
+            out[i] = t
+        else:
+            del out[i]
+    return out
 
 
 def rref(m: Matrix) -> RrefResult:
     """Reduced row echelon form with pivot columns (strictly increasing)."""
-    scales = [lcm(*(x.denominator for x in col)) for col in zip(*m.rows)]
-    rows = [[x.numerator * (s // x.denominator) for x, s in zip(row, scales)] for row in m.rows]
-    pivots, d = bareiss(rows)
-    zero = Fraction(0)
-    # row r of the scaled RREF is rows[r] / d: unscale column j and the pivot
-    reduced = [
-        tuple(Fraction(a * scales[pc], d * s) if a else zero for a, s in zip(rows[r], scales))
-        for r, pc in enumerate(pivots)
-    ]
-    reduced += [(zero,) * m.ncols] * (m.nrows - len(pivots))
-    return RrefResult(Matrix(reduced, ncols=m.ncols), tuple(pivots), len(pivots))
+    ncols = m.ncols
+    scales, columns = [], []
+    for col in zip(*m.rows):
+        nonzero = [(r, x) for r, x in enumerate(col) if x]
+        s = lcm(*(x.denominator for _, x in nonzero))
+        scales.append(s)
+        columns.append({r: x.numerator * (s // x.denominator) for r, x in nonzero})
+    later = Counter(r for col in columns for r in col)  # row -> columns still to come
+    zero, one = Fraction(0), Fraction(1)
+    pivots: list[int] = []
+    position: dict[int, int] = {}  # pivot column -> index of its pivot vector
+    vectors: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (row, vector, combination)
+    reduced: list[list[Fraction]] = []
+    for j, w in enumerate(columns):
+        for r in w:
+            later[r] -= 1
+        comb = {j: 1}
+        # each pivot vector is zero on the pivot rows before its own, so one
+        # pass in pivot order clears every pivot row of w
+        for r, v, vcomb in vectors:
+            b = w.get(r)
+            if b:
+                a = v[r]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                w, comb = _combine(a, w, b, v), _combine(a, comb, b, vcomb)
+        if w:
+            # the RREF is unique, so any row may hold the pivot: take the
+            # one fewest later columns touch, which keeps the fill-in low
+            # whatever the order of the rows
+            r = min(w, key=lambda i: (later[i], i))
+            position[j] = len(vectors)
+            vectors.append((r, w, comb))
+            pivots.append(j)
+            reduced.append([zero] * ncols)
+            reduced[-1][j] = one
+        else:
+            # sum_c comb[c] * scales[c] * column c = 0 expands column j over
+            # the earlier pivots, and that expansion is its RREF column
+            den = comb.pop(j) * scales[j]
+            for c, x in comb.items():
+                reduced[position[c]][j] = Fraction(-x * scales[c], den)
+    reduced += [(zero,) * ncols] * (m.nrows - len(pivots))
+    return RrefResult(Matrix(reduced, ncols=ncols), tuple(pivots), len(pivots))
 
 
 def rank(m: Matrix) -> int:
@@ -130,16 +161,20 @@ def kernel(reduced: RrefResult) -> list[Vector]:
     """The null-space basis of `null_space`, read off an existing RREF."""
     red, pivots, _ = reduced
     pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis: list[Vector] = []
     for free in range(red.ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * red.ncols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red.rows[r][free]
-        lead = next(x for x in vec if x != 0)
-        basis.append(tuple(x / lead for x in vec))
+        # an RREF entry is nonzero only left of its column, so the lead is
+        # the first pivot entry, or the free column's own 1
+        support = [(pc, -row[free]) for pc, row in zip(pivots, red.rows) if row[free]]
+        support.append((free, one))
+        lead = support[0][1]
+        vec = [zero] * red.ncols
+        for k, x in support:
+            vec[k] = x if lead == 1 else x / lead
+        basis.append(tuple(vec))
     return basis
 
 

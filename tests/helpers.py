@@ -74,6 +74,10 @@ def to_sympy(rows) -> sympy.Matrix:
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
 
 
+def from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
 def sympy_rank(rows) -> int:
     """Rank over the rationals of some rows (none has rank 0), by sympy."""
     return to_sympy(rows).rank()

@@ -1,6 +1,8 @@
 """One elimination per model instance, shared by every analysis."""
 
+import random
 import sys
+import time
 
 import pytest
 
@@ -16,8 +18,13 @@ from umvue import (
     is_umvue,
     mve_partition,
     parse_poly,
+    product_model,
+    random_model,
+    rename_parameters,
     umvue_for,
 )
+
+from helpers import from_sympy, to_sympy
 
 
 @pytest.fixture
@@ -87,3 +94,43 @@ def test_a_zero_column_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(ZeroColumn):
             mve_partition(m)
+
+
+def paper_power(k: int) -> CategoricalModel:
+    """The k-fold independent product of paper-2-3, one parameter per factor."""
+    factors = [rename_parameters(corpus_model("paper-2-3"), {"theta": f"theta{i}"}) for i in range(k)]
+    m = factors[0]
+    for f in factors[1:]:
+        m = product_model(m, f)
+    return m
+
+
+def structure_cases():
+    yield from (corpus_model("binomial", {"n": n}) for n in range(1, 25))
+    yield from (corpus_model("lehmann-trunc", {"k": k}) for k in range(1, 31))
+    yield from (paper_power(k) for k in (2, 3))
+    rng = random.Random(12)
+    for seed in range(50):
+        yield random_model(seed, n=rng.randint(2, 30), max_degree=rng.randint(1, 3), n_params=rng.randint(1, 2))
+
+
+def test_the_elimination_matches_sympy_on_model_matrices():
+    for m in structure_cases():
+        c = coefficient_matrix(m)[1]
+        oracle, pivots = to_sympy(c.rows).rref()
+        reduced = m.structure.reduced
+        assert reduced.pivots == pivots
+        assert [list(row) for row in reduced.matrix.rows] == \
+            [[from_sympy(x) for x in oracle.row(i)] for i in range(c.nrows)]
+
+
+@pytest.mark.parametrize("name, params", [("binomial", {"n": 256}), ("lehmann-trunc", {"k": 511})])
+def test_large_complete_families_analyze_without_a_cliff(name, params):
+    m = corpus_model(name, params)
+    start = time.monotonic()
+    report = analyze_model(m)
+    assert time.monotonic() - start < 30
+    assert report.mve_partition == tuple((label,) for label in m.support)
+    assert report.zero_mean_basis == ()
+    assert report.is_minimal_sufficient_complete
+    assert report.is_mve_equal_minimal_sufficient
