@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .errors import UmvueError
-from .linalg import Matrix, null_space, solve_in_span
+from .linalg import Matrix, dense, integer_form, null_space, solve_in_span
 from .matroid import GroundSetMismatch, mve_partition, refines
 from .model import CategoricalModel, Partition, Statistic
 from .poly import MissingMonomial, Polynomial, coeff_vector
@@ -39,7 +40,7 @@ def expectation(m: CategoricalModel, g: Statistic) -> Polynomial:
 
 def zero_mean_space(m: CategoricalModel) -> list[Statistic]:
     """Exact basis of the unbiased estimators of zero; empty iff complete."""
-    return [Statistic(vec) for vec in m.structure.null_space]
+    return [Statistic(dense(v, m.n)) for v in m.structure.kernel]
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,37 @@ def is_umvue(m: CategoricalModel, g: Statistic) -> UmvueVerdict:
     """Zero-correlation test against a basis of the zero-mean space.
 
     cov(g, chi) = E(g*chi) for zero-mean chi, so g is a UMVUE iff g*chi is
-    itself zero-mean for every basis vector chi.
+    itself zero-mean, C.(g*chi) = 0, for every basis vector chi. The test
+    runs in integers on chi's support: g scaled by s_g and chi by s_chi
+    (_integer_kernel) give the integer vector s_g*s_chi*(g*chi). Its
+    product with C is zero iff C.(g*chi) is, because both scales are
+    nonzero, and divided by s_g*s_chi it holds E(g*chi) in the monomial
+    basis.
     """
     _check_length(m, g)
-    c = m.structure.matrix
-    for chi in zero_mean_space(m):
-        product = g.pointwise_mul(chi)
-        if any(x != 0 for x in c.mul_vector(product.values)):
-            return UmvueVerdict(False, witness=chi, residual=expectation(m, product))
+    s = m.structure
+    if not s.kernel:  # a complete model has no zero-mean statistic to test against
+        return UmvueVerdict(True)
+    g_scale, g_pairs = integer_form(enumerate(g.values))
+    g_int = dict(g_pairs)
+    for chi, (chi_scale, support) in zip(s.kernel, _integer_kernel(m)):
+        product = [0] * m.n
+        for k, x in support:
+            product[k] = g_int.get(k, 0) * x
+        coords = s.matrix.mul_vector(product)
+        if any(coords):
+            scale = g_scale * chi_scale
+            residual = Polynomial({mono: c / scale for mono, c in zip(s.basis, coords) if c})
+            return UmvueVerdict(False, witness=Statistic(dense(chi, m.n)), residual=residual)
     return UmvueVerdict(True)
+
+
+def _integer_kernel(m: CategoricalModel) -> list[tuple[int, list[tuple[int, int]]]]:
+    """integer_form of each zero-mean basis vector. Like mve_partition, it is
+    built on first use and kept on this instance only."""
+    if "integer_kernel" not in m.__dict__:
+        m.__dict__["integer_kernel"] = [integer_form(chi) for chi in m.structure.kernel]
+    return m.__dict__["integer_kernel"]
 
 
 def umvue_functionals(m: CategoricalModel) -> list[Polynomial]:
@@ -79,26 +102,20 @@ def _block_sums(m: CategoricalModel, p: Partition) -> list[Polynomial]:
     return [Polynomial.sum(m.pmf[k] for k in block) for block in p.blocks]
 
 
-def _positively_proportional(p: Polynomial, q: Polynomial) -> bool:
-    """True iff p = c*q identically for some rational c > 0."""
-    if p.is_zero() or q.is_zero() or set(p.terms) != set(q.terms):
-        return False
-    lead = q.monomials()[0]
-    c = p.coefficient(lead) / q.coefficient(lead)
-    return c > 0 and p == q * c
-
-
 def minimal_sufficient_partition(m: CategoricalModel) -> Partition:
-    """Proportionality classes: k, l share a block iff p_k = c*p_l with c > 0."""
-    blocks: list[list[int]] = []
-    for k in range(m.n):
-        for block in blocks:
-            if _positively_proportional(m.pmf[k], m.pmf[block[0]]):
-                block.append(k)
-                break
-        else:
-            blocks.append([k])
-    return Partition(blocks)
+    """Proportionality classes: k, l share a block iff p_k = c*p_l with c > 0.
+
+    p_k = c*p_l with c > 0 iff both have the same primitive integer form:
+    the terms scaled by the lcm of their denominators, then divided by the
+    gcd of their numerators. Zero cells are proportional to nothing.
+    """
+    blocks: dict[object, list[int]] = {}
+    for k, p in enumerate(m.pmf):
+        _, terms = integer_form(p.terms.items())
+        divisor = gcd(*(c for _, c in terms))
+        key = frozenset((mono, c // divisor) for mono, c in terms) if terms else k
+        blocks.setdefault(key, []).append(k)
+    return Partition(blocks.values())
 
 
 def is_sufficient(m: CategoricalModel, p: Partition) -> bool:
@@ -117,8 +134,8 @@ def is_complete(m: CategoricalModel, p: Partition) -> bool:
     s = m.structure
     # a trivial kernel makes every family of block sums independent; with
     # singleton blocks the block sums are the cells themselves
-    if not s.null_space or len(p.blocks) == m.n:
-        return not s.null_space
+    if not s.kernel or len(p.blocks) == m.n:
+        return not s.kernel
     sums = [coeff_vector(q, s.basis) for q in _block_sums(m, p)]
     return not null_space(Matrix.from_columns(sums))
 

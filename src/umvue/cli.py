@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .analysis import Estimability, expectation, is_umvue, umvue_for
 from .combine import product_model, slice_model
@@ -23,6 +22,7 @@ from .model import (
     model_to_json,
     require_valid,
 )
+from .poly import as_fraction
 from .report import analyze_model, render_text
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def _load(path: str) -> CategoricalModel:
 def _parse_statistic(text: str, n: int) -> Statistic:
     parts = [piece.strip() for piece in text.split(",")]
     try:
-        values = [Fraction(piece) for piece in parts]
+        values = [as_fraction(piece) for piece in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise UmvueError(f"bad statistic value: {exc}") from exc
     if len(values) != n:
@@ -162,7 +162,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_slice(args) -> int:
     model = _load(args.model)
-    bindings = _parse_pairs(args.bind, Fraction, "binding")
+    bindings = _parse_pairs(args.bind, as_fraction, "binding")
     if not bindings:
         raise UmvueError("slice needs at least one --bind NAME=VALUE")
     sliced = slice_model(model, bindings)

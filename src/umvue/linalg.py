@@ -1,4 +1,5 @@
-"""Exact rational matrices: reduced row echelon form, rank, null space.
+"""Exact rational matrices: reduced row echelon form, rank, null space and
+an integer matrix-vector product.
 
 Elimination is fraction-free and sparse. Each column is scaled by the LCM
 of its denominators, which keeps the pivot columns (the column matroid) and
@@ -21,20 +22,22 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 Vector = tuple[Fraction, ...]
+Key = TypeVar("Key")
 
 
 class Matrix:
     """A rectangular matrix of Fractions. Immutable by convention."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "_integer_columns")
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ncols: int | None = None):
         self.rows: tuple[Vector, ...] = tuple(
             tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
         )
+        self._integer_columns = None  # built by the first mul_vector
         self.nrows = len(self.rows)
         if self.nrows:
             widths = {len(r) for r in self.rows}
@@ -58,10 +61,33 @@ class Matrix:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def mul_vector(self, v: Sequence[Fraction]) -> Vector:
+    def mul_vector(self, v: Sequence[Fraction | int]) -> Vector:
+        """The exact product M.v, summed in integers.
+
+        The first call scales each row r by the lcm d_r of its denominators
+        and keeps every column as its nonzero (row, integer) pairs. Each call
+        scales v to integers by the lcm s of its denominators, adds s*v_j
+        times column j into integer row sums for the nonzero v_j only, and
+        returns row sum r over d_r*s. So a sparse v costs the nonzeros of
+        its support's columns, not the dense size of M.
+        """
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(row, v) if a and b), Fraction(0)) for row in self.rows)
+        if self._integer_columns is None:
+            rows = [integer_form(enumerate(row)) for row in self.rows]
+            columns: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+            for r, (_, pairs) in enumerate(rows):
+                for j, a in pairs:
+                    columns[j].append((r, a))
+            self._integer_columns = [d for d, _ in rows], columns
+        scales, columns = self._integer_columns
+        s, pairs = integer_form(enumerate(v))
+        sums = [0] * self.nrows
+        for j, x in pairs:
+            for r, a in columns[j]:
+                sums[r] += a * x
+        zero = Fraction(0)
+        return tuple(Fraction(t, d * s) if t else zero for t, d in zip(sums, scales))
 
     def __eq__(self, other) -> bool:
         return (
@@ -76,6 +102,14 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
+
+
+def integer_form(entries: Iterable[tuple[Key, Fraction | int]]) -> tuple[int, list[tuple[Key, int]]]:
+    """(key, value) entries scaled to integers: the lcm s of the values'
+    denominators and the (key, s*value) pairs of the nonzero values."""
+    nonzero = [(k, x) for k, x in entries if x]
+    s = lcm(*(x.denominator for _, x in nonzero))
+    return s, [(k, x.numerator * (s // x.denominator)) for k, x in nonzero]
 
 
 class RrefResult(NamedTuple):
@@ -101,10 +135,9 @@ def rref(m: Matrix) -> RrefResult:
     ncols = m.ncols
     scales, columns = [], []
     for col in zip(*m.rows):
-        nonzero = [(r, x) for r, x in enumerate(col) if x]
-        s = lcm(*(x.denominator for _, x in nonzero))
+        s, pairs = integer_form(enumerate(col))
         scales.append(s)
-        columns.append({r: x.numerator * (s // x.denominator) for r, x in nonzero})
+        columns.append(dict(pairs))
     later = Counter(r for col in columns for r in col)  # row -> columns still to come
     zero, one = Fraction(0), Fraction(1)
     pivots: list[int] = []
@@ -154,15 +187,16 @@ def null_space(m: Matrix) -> list[Vector]:
     One basis vector per free column, ascending; each vector is scaled so its
     first nonzero entry equals 1.
     """
-    return kernel(rref(m))
+    return [dense(v, m.ncols) for v in kernel(rref(m))]
 
 
-def kernel(reduced: RrefResult) -> list[Vector]:
-    """The null-space basis of `null_space`, read off an existing RREF."""
+def kernel(reduced: RrefResult) -> list[list[tuple[int, Fraction]]]:
+    """The null-space basis of `null_space`, read off an existing RREF, each
+    vector as its nonzero (column, entry) pairs in column order."""
     red, pivots, _ = reduced
     pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
-    basis: list[Vector] = []
+    one = Fraction(1)
+    basis = []
     for free in range(red.ncols):
         if free in pivot_set:
             continue
@@ -171,11 +205,16 @@ def kernel(reduced: RrefResult) -> list[Vector]:
         support = [(pc, -row[free]) for pc, row in zip(pivots, red.rows) if row[free]]
         support.append((free, one))
         lead = support[0][1]
-        vec = [zero] * red.ncols
-        for k, x in support:
-            vec[k] = x if lead == 1 else x / lead
-        basis.append(tuple(vec))
+        basis.append(support if lead == 1 else [(k, x / lead) for k, x in support])
     return basis
+
+
+def dense(v: Iterable[tuple[int, Fraction]], n: int) -> Vector:
+    """The length-n vector with v's (index, entry) pairs and zeros elsewhere."""
+    vec = [Fraction(0)] * n
+    for k, x in v:
+        vec[k] = x
+    return tuple(vec)
 
 
 def solve_in_span(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> list[Fraction] | None:

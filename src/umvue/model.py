@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import UmvueError
 from .expr import format_poly, number_text, parse_poly
-from .linalg import Matrix, RrefResult, Vector, kernel, rref
+from .linalg import Matrix, RrefResult, kernel, rref
 from .poly import Monomial, Polynomial, as_fraction, coeff_vector
 
 Interval = tuple[Fraction, Fraction]
@@ -115,7 +115,7 @@ class Structure(NamedTuple):
     basis: list[Monomial]   # row index of C
     matrix: Matrix          # C: column k holds cell k's coordinates
     reduced: RrefResult     # RREF of C with its pivots and rank
-    null_space: list[Vector]
+    kernel: list[list[tuple[int, Fraction]]]  # null-space basis, as nonzero (cell, entry) pairs
 
 
 @dataclass(frozen=True)

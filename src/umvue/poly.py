@@ -8,6 +8,8 @@ are equal. No floating point enters any computation.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -16,11 +18,31 @@ from .errors import UmvueError
 RationalLike = Fraction | int | str
 
 
+# the decimal form of Fraction's text syntax: digits, fraction digits, exponent
+_DECIMAL = re.compile(r"\s*[-+]?(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and strings like '1/4' to an exact Fraction."""
+    """Coerce ints, Fractions and strings like '1/4' or '2.5e-3' to an exact
+    Fraction.
+
+    Text whose numerator or denominator would have more digits than
+    sys.get_int_max_str_digits() (unless 0) raises ValueError, as int() does.
+    A decimal exponent is judged from the text before it is expanded, since
+    Fraction('1e999999999') would build a billion-digit integer.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        decimal = _DECIMAL.fullmatch(value)
+        limit = sys.get_int_max_str_digits()
+        if decimal and limit:
+            whole, fraction, exponent = (part.replace("_", "") for part in decimal.groups(""))
+            shift = int(exponent) - len(fraction)
+            if len((whole + fraction).lstrip("0")) + max(shift, 0) > limit or -shift >= limit:
+                raise ValueError(f"{value.strip()[:20]} would have more than {limit} digits")
+        return Fraction(value)
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

@@ -14,7 +14,16 @@ from itertools import combinations
 
 import sympy
 
-from umvue import CategoricalModel, Matrix, Partition, Statistic, coefficient_matrix
+from umvue import (
+    CategoricalModel,
+    Matrix,
+    Partition,
+    Statistic,
+    coefficient_matrix,
+    corpus_model,
+    product_model,
+    rename_parameters,
+)
 from umvue.poly import Monomial, Polynomial
 
 
@@ -159,3 +168,12 @@ def permuted_partition(p: Partition, perm: list[int]) -> Partition:
 
 def matrix_of(rows) -> Matrix:
     return Matrix([[Fraction(x) for x in row] for row in rows])
+
+
+def paper_power(k: int) -> CategoricalModel:
+    """The k-fold independent product of paper-2-3, one parameter per factor."""
+    factors = [rename_parameters(corpus_model("paper-2-3"), {"theta": f"theta{i}"}) for i in range(k)]
+    m = factors[0]
+    for f in factors[1:]:
+        m = product_model(m, f)
+    return m

@@ -367,3 +367,30 @@ def test_corpus_emit_then_analyze_round_trip(tmp_path, capsys):
         code, out, _ = run(capsys, "analyze", str(path))
         assert code == 0
         assert out == expected
+
+
+# a decimal exponent expands to a power of ten, so Fraction("1e999999999")
+# never returns; past the int-to-string limit (4300 digits) it is refused
+# from the text
+@pytest.mark.parametrize("argv", [
+    ["verify", "MODEL", "--statistic=1e3000000,1,1,0"],
+    ["verify", "MODEL", "--statistic=1,1e-999999999,1,0"],
+    ["slice", "MODEL", "--bind", "theta=1e5000"],
+    ["analyze", "HUGE_DOMAIN"],
+], ids=["statistic", "negative-exponent", "binding", "domain"])
+def test_huge_decimal_exponent_is_input_error_and_fast(p23_file, tmp_path, capsys, argv):
+    huge_domain = model_file(tmp_path, ["theta", "1 - theta"], domain=("0", "1e5000"))
+    argv = [{"MODEL": str(p23_file), "HUGE_DOMAIN": str(huge_domain)}.get(a, a) for a in argv]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "more than 4300 digits" in err
+
+
+def test_decimal_exponent_within_the_limit_is_read(p23_file, capsys):
+    code, out, _ = run(capsys, "verify", str(p23_file), "--statistic=1e4000,1e4000,1e4000,0")
+    assert code == 0
+    assert "umvue: yes" in out
+    assert f"statistic: ({10**4000}, " in out

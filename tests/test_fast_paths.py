@@ -1,6 +1,7 @@
 """Differential tests of the integer and single-map fast paths against the
 plain Fraction code they replace."""
 
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -8,10 +9,29 @@ from itertools import product
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from umvue import CategoricalModel, ValidationIssue, ValidationReport, validate_model
+from umvue import (
+    CategoricalModel,
+    Partition,
+    Statistic,
+    UmvueVerdict,
+    ValidationIssue,
+    ValidationReport,
+    coefficient_matrix,
+    corpus_model,
+    expectation,
+    is_umvue,
+    minimal_sufficient_partition,
+    mve_partition,
+    random_model,
+    validate_model,
+    zero_mean_space,
+)
+from umvue.corpus import CORPUS
 from umvue.expr import format_poly, parse_poly
 from umvue.model import interior_grid
 from umvue.poly import Monomial, Polynomial
+
+from helpers import block_constant_statistic, paper_power, random_statistic
 
 NAMES = ("theta", "eta", "mu")
 UNDECLARED = "nu"
@@ -192,3 +212,100 @@ def test_arithmetic_matches_sympy(pairs, p, q, c, exponent, bindings):
     ]
     for got, expected in cases:
         assert got.terms == sympy_terms(expected)
+
+
+# --- the integer zero-correlation test against the Fraction loop it replaces -
+
+def reference_is_umvue(m: CategoricalModel, g: Statistic) -> UmvueVerdict:
+    """is_umvue as a plain Fraction loop: g*chi for each basis vector chi, a
+    dense product with C, and the residual as the expectation E(g*chi)."""
+    rows = coefficient_matrix(m)[1].rows
+    for chi in zero_mean_space(m):
+        product = g.pointwise_mul(chi)
+        if any(sum((a * x for a, x in zip(row, product.values)), Fraction(0)) for row in rows):
+            return UmvueVerdict(False, witness=chi, residual=expectation(m, product))
+    return UmvueVerdict(True)
+
+
+def corpus_cases():
+    for name, (_, keys) in CORPUS.items():
+        for size in (1, 2, 5, 12):
+            yield corpus_model(name, dict.fromkeys(keys, size))
+            if not keys:
+                break
+    yield paper_power(2)
+    yield paper_power(3)
+
+
+def random_cases(count: int, seed: int):
+    rng = random.Random(seed)
+    for s in range(count):
+        yield random_model(s, n=rng.randint(2, 30), max_degree=rng.randint(1, 3), n_params=rng.randint(1, 2))
+
+
+def umvue_statistics(rng: random.Random, m: CategoricalModel):
+    """Random, block-constant and large-denominator statistics, and
+    block-constant ones raised at one non-pivot cell k: those fail exactly
+    against the basis vectors that are nonzero at k, so at the last free
+    cell they fail only against the last one."""
+    partition = mve_partition(m)
+    yield random_statistic(rng, m.n)
+    yield Statistic(tuple(Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)) for _ in range(m.n)))
+    block_constant = block_constant_statistic(rng, partition)
+    yield block_constant
+    yield Statistic(tuple(Fraction(10**40 * x.numerator + 1, 10**22 * x.denominator + 7)
+                          for x in block_constant.values))
+    free = [k for k in range(m.n) if k not in m.structure.reduced.pivots]
+    for k in free[-1:] + rng.sample(free, min(2, len(free))):
+        values = list(block_constant.values)
+        values[k] += Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))
+        yield Statistic(tuple(values))
+
+
+def test_is_umvue_matches_the_fraction_loop():
+    rng = random.Random(2)
+    failures = 0
+    for m in [*corpus_cases(), *random_cases(200, 13)]:
+        for g in umvue_statistics(rng, m):
+            verdict = is_umvue(m, g)
+            assert verdict == reference_is_umvue(m, g)
+            failures += not verdict
+    assert failures > 200  # the witness and residual paths are covered too
+
+
+# --- minimal sufficiency in one pass against the pairwise loop ----------------
+
+def reference_minimal_sufficient_partition(m: CategoricalModel) -> Partition:
+    """Each cell joins the first block whose first cell it is a positive
+    multiple of."""
+    def proportional(p: Polynomial, q: Polynomial) -> bool:
+        if p.is_zero() or q.is_zero() or set(p.terms) != set(q.terms):
+            return False
+        lead = q.monomials()[0]
+        c = p.coefficient(lead) / q.coefficient(lead)
+        return c > 0 and p == q * c
+
+    blocks: list[list[int]] = []
+    for k in range(m.n):
+        for block in blocks:
+            if proportional(m.pmf[k], m.pmf[block[0]]):
+                block.append(k)
+                break
+        else:
+            blocks.append([k])
+    return Partition(blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(polynomials(max_terms=3), st.sampled_from([0, 1, 2, -1, Fraction(1, 3), Fraction(-7, 2)])),
+                min_size=1, max_size=8))
+def test_minimal_sufficient_partition_matches_the_pairwise_loop(scaled):
+    # multiples of a few polynomials, with zero, negative and repeated cells
+    cells = [p * c for p, c in scaled] + [p for p, _ in scaled]
+    m = CategoricalModel([str(k) for k in range(len(cells))], cells, NAMES, {name: (0, 1) for name in NAMES})
+    assert minimal_sufficient_partition(m) == reference_minimal_sufficient_partition(m)
+
+
+def test_minimal_sufficient_partition_matches_on_models():
+    for m in [*corpus_cases(), *random_cases(300, 14)]:
+        assert minimal_sufficient_partition(m) == reference_minimal_sufficient_partition(m)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from umvue.linalg import Matrix, null_space, rank, rref, solve_in_span
@@ -172,3 +173,29 @@ def test_solve_in_span_matches_sympy(m, data):
         return
     particular = solution.subs({p: 0 for p in params})
     assert got == [from_sympy(x) for x in particular]
+
+
+# --- the integer mat-vec against the dense Fraction sum ------------------------
+
+def dense_product(m: Matrix, v) -> tuple[Fraction, ...]:
+    return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in m.rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mul_vector_matches_the_dense_fraction_sum(data):
+    m = data.draw(matrices())
+    # Fraction, int and large int entries, with zeros, twice on the same matrix
+    for entries in (ENTRIES, st.integers(-3, 3), st.integers(-10**30, 10**30)):
+        v = data.draw(st.lists(st.one_of(st.just(0), entries), min_size=m.ncols, max_size=m.ncols))
+        product = m.mul_vector(v)
+        assert product == dense_product(m, v)
+        assert all(type(x) is Fraction for x in product)
+
+
+def test_mul_vector_edge_shapes():
+    assert matrix_of([[0, 0, 0], [1, Fraction(1, 2), 0]]).mul_vector([3, Fraction(1, 3), 5]) == (0, Fraction(19, 6))
+    assert Matrix([(), ()]).mul_vector(()) == (0, 0)
+    assert Matrix([], ncols=2).mul_vector([1, 2]) == ()
+    with pytest.raises(ValueError):
+        matrix_of([[1, 2]]).mul_vector([1])

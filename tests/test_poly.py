@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from umvue.poly import ONE, MissingMonomial, Monomial, Polynomial, coeff_vector
+from umvue.poly import ONE, MissingMonomial, Monomial, Polynomial, as_fraction, coeff_vector
 
 from helpers import random_polynomial
 
@@ -148,3 +148,20 @@ def test_coeff_vector_linear(seed_p, seed_q):
     vp = coeff_vector(p, basis)
     vq = coeff_vector(q, basis)
     assert combo == tuple(a * x + b * y for x, y in zip(vp, vq))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4299", 10**4299),          # 4300 digits: at the int-to-string limit
+    ("-2.5e-3", Fraction(-1, 400)),
+    ("00012.50e2", 1250),          # leading zeros do not count
+    ("1_0.0_1e1_0", 100100000000),
+    (" 3/4 ", Fraction(3, 4)),
+])
+def test_as_fraction_reads_decimal_text(text, value):
+    assert as_fraction(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "12.5e4299", "0e999999999", "1" * 4000 + "e301"])
+def test_as_fraction_refuses_a_number_past_the_digit_limit(text):
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        as_fraction(text)

@@ -11,6 +11,7 @@ from umvue import (
     CategoricalModel,
     Polynomial,
     Statistic,
+    UmvueVerdict,
     ZeroColumn,
     analyze_model,
     coefficient_matrix,
@@ -18,13 +19,11 @@ from umvue import (
     is_umvue,
     mve_partition,
     parse_poly,
-    product_model,
     random_model,
-    rename_parameters,
     umvue_for,
 )
 
-from helpers import from_sympy, to_sympy
+from helpers import block_constant_statistic, from_sympy, paper_power, to_sympy
 
 
 @pytest.fixture
@@ -96,15 +95,6 @@ def test_a_zero_column_raises_on_every_call():
             mve_partition(m)
 
 
-def paper_power(k: int) -> CategoricalModel:
-    """The k-fold independent product of paper-2-3, one parameter per factor."""
-    factors = [rename_parameters(corpus_model("paper-2-3"), {"theta": f"theta{i}"}) for i in range(k)]
-    m = factors[0]
-    for f in factors[1:]:
-        m = product_model(m, f)
-    return m
-
-
 def structure_cases():
     yield from (corpus_model("binomial", {"n": n}) for n in range(1, 25))
     yield from (corpus_model("lehmann-trunc", {"k": k}) for k in range(1, 31))
@@ -134,3 +124,12 @@ def test_large_complete_families_analyze_without_a_cliff(name, params):
     assert report.zero_mean_basis == ()
     assert report.is_minimal_sufficient_complete
     assert report.is_mve_equal_minimal_sufficient
+
+
+def test_is_umvue_on_paper_2_3_to_the_fifth_without_a_cliff():
+    m = paper_power(5)
+    g = block_constant_statistic(random.Random(5), mve_partition(m))
+    start = time.monotonic()
+    verdict = is_umvue(m, g)
+    assert time.monotonic() - start < 30
+    assert verdict == UmvueVerdict(True)
