@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .analysis import Estimability, expectation, is_umvue, umvue_for
 from .combine import product_model, slice_model
@@ -36,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@cache  # built once per process: eight subparsers cost about a millisecond per main() call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="umvue", description="Exact UMVUE structure analysis for finite categorical models.")
     sub = parser.add_subparsers(dest="command", required=True)

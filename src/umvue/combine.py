@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from fractions import Fraction
 from typing import Mapping
 
 from .errors import UmvueError
@@ -78,6 +80,15 @@ def rename_parameters(m: CategoricalModel, mapping: Mapping[str, str]) -> Catego
     )
 
 
+def _short(x: Fraction) -> str:
+    """x as text, a long numeral cut to its ends and length, so an error line stays short."""
+    try:
+        text = str(x)
+    except ValueError:  # past the interpreter's int-to-string limit
+        return f"a number of over {sys.get_int_max_str_digits()} digits"
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
+
+
 def slice_model(m: CategoricalModel, bindings: Mapping[str, RationalLike]) -> CategoricalModel:
     """Fix some parameters at interior points; re-validate the result.
 
@@ -90,7 +101,7 @@ def slice_model(m: CategoricalModel, bindings: Mapping[str, RationalLike]) -> Ca
             raise OutOfDomain(f"{name} is not a parameter of the model")
         lo, hi = m.domain[name]
         if not lo < value < hi:
-            raise OutOfDomain(f"{name}={value} is not strictly inside ({lo}, {hi})")
+            raise OutOfDomain(f"{name}={_short(value)} is not strictly inside ({_short(lo)}, {_short(hi)})")
     remaining = [name for name in m.parameters if name not in values]
     if not remaining:
         raise NoFreeParameters("at least one parameter must remain free")

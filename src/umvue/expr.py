@@ -15,6 +15,11 @@ Parentheses nest at most MAX_NESTING deep, far inside the interpreter's
 recursion limit. Digits are those int() reads (str.isdecimal), and a literal
 over the interpreter's int-from-string limit is a ParseError.
 
+A term is read in one pass: its numbers multiply into one coefficient and its
+parameter powers add into one exponent map, so it builds a single Monomial.
+Only a parenthesised factor is a Polynomial, multiplied and raised as one. An
+expression merges the (monomial, coefficient) pairs of all its terms at once.
+
 format_poly emits terms in canonical order (graded, then lexicographic by
 parameter name), with explicit '*' and '^', so parse_poly(format_poly(p)) == p.
 """
@@ -27,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import UmvueError
-from .poly import Polynomial
+from .poly import Monomial, Polynomial
 
 
 class ParseError(UmvueError):
@@ -57,127 +62,122 @@ MAX_POWER_DEGREE = 512
 MAX_NESTING = 100
 
 # \d is str.isdecimal and \w is str.isalnum or '_'; an identifier must
-# also start with a letter or '_', which the tokenizer checks
-_TOKEN = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<symbol>[-+*/^()])|(?P<uint>\d+)|(?P<ident>\w+)|(?P<bad>.)",
-                    re.DOTALL)
+# also start with a letter or '_', which the tokenizer checks. Spaces, tabs
+# and newlines match nothing, so finditer skips them.
+_TOKEN = re.compile(r"(?P<symbol>[-+*/^()])|(?P<uint>\d+)|(?P<ident>\w+)|(?P<bad>[^ \t\r\n])")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # 'uint' | 'ident' | one of '+-*/^()' | 'end'
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(expr: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(expr: str) -> tuple[list[str], list[str], list[int]]:
+    """Parallel lists: kinds ('uint', 'ident', one of '+-*/^()', 'end'), texts, starts."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     for match in _TOKEN.finditer(expr):
         kind, text = match.lastgroup, match.group()
         if kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
             raise ParseError(f"unexpected character {text[0]!r}", match.start())
-        if kind != "space":
-            tokens.append(_Token(text if kind == "symbol" else kind, text, match.start()))
-    tokens.append(_Token("end", "", len(expr)))
-    return tokens
+        kinds.append(text if kind == "symbol" else kind)
+        texts.append(text)
+        starts.append(match.start())
+    kinds.append("end")
+    texts.append("")
+    starts.append(len(expr))
+    return kinds, texts, starts
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], parameters: Sequence[str]):
-        self.tokens = tokens
+    def __init__(self, expr: str, parameters: Sequence[str]):
+        self.kinds, self.texts, self.starts = _tokenize(expr)
         self.pos = 0
-        self.variables = {name: Polynomial.variable(name) for name in parameters}
+        self.parameters = frozenset(parameters)
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos, [kind])
-        return self.take()
+    def unexpected(self, expected: Sequence[str]) -> ParseError:
+        return ParseError(f"unexpected {self.texts[self.pos] or 'end of input'!r}", self.starts[self.pos], expected)
 
     def uint(self) -> int:
-        tok = self.expect("uint")
+        if self.kinds[self.pos] != "uint":
+            raise self.unexpected(["uint"])
+        text = self.texts[self.pos]
+        self.pos += 1
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # longer than the interpreter's int-from-string limit
-            raise ParseError(f"number of {len(tok.text)} digits is too long", tok.pos) from None
+            raise ParseError(f"number of {len(text)} digits is too long", self.starts[self.pos - 1]) from None
 
     def parse(self) -> Polynomial:
         result = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos, ["'+'", "'-'", "'*'", "end of input"])
+        if self.kinds[self.pos] != "end":
+            raise ParseError(f"unexpected {self.texts[self.pos]!r}", self.starts[self.pos],
+                             ["'+'", "'-'", "'*'", "end of input"])
         return result
 
     def expr(self) -> Polynomial:
-        terms = [self.term()]
-        while self.peek().kind in "+-":
-            op = self.take()
-            rhs = self.term()
-            terms.append(rhs if op.kind == "+" else -rhs)
-        return Polynomial.sum(terms)
+        terms = self.term(1)
+        while self.kinds[self.pos] in "+-":
+            self.pos += 1
+            terms += self.term(1 if self.kinds[self.pos - 1] == "+" else -1)
+        return Polynomial(terms)
 
-    def term(self) -> Polynomial:
-        result = self.unary()
-        while self.peek().kind == "*":
-            self.take()
-            result = result * self.unary()
-        return result
-
-    def unary(self) -> Polynomial:
-        if self.peek().kind == "-":
-            self.take()
-            return -self.factor()
-        return self.factor()
-
-    def factor(self) -> Polynomial:
-        base = self.base()
-        if self.peek().kind == "^":
-            self.take()
-            tok = self.peek()
-            exponent = self.uint()
-            if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
-                raise ParseError(f"power exceeds degree {MAX_POWER_DEGREE}", tok.pos)
-            return base ** exponent
-        return base
-
-    def base(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "uint":
-            num = self.uint()
-            if self.peek().kind == "/":
-                self.take()
-                den_pos = self.peek().pos
-                den = self.uint()
-                if den == 0:
-                    raise ZeroDenominator(den_pos)
-                return Polynomial.constant(Fraction(num, den))
-            return Polynomial.constant(num)
-        if tok.kind == "ident":
-            self.take()
-            if tok.text not in self.variables:
-                raise UnknownParameter(tok.text, tok.pos)
-            return self.variables[tok.text]
-        if tok.kind == "(":
-            self.take()
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.pos)
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect(")")
-            return inner
-        raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos,
-                         ["number", "identifier", "'('"])
+    def term(self, sign: int) -> list[tuple[Monomial, int | Fraction]]:
+        # the terms of sign * the product of its '*'-separated unary factors
+        kinds = self.kinds
+        coeff: int | Fraction = sign
+        exps: dict[str, int] = {}
+        product: Polynomial | None = None
+        while True:
+            if kinds[self.pos] == "-":
+                self.pos += 1
+                coeff = -coeff
+            kind, start = kinds[self.pos], self.starts[self.pos]
+            if kind == "uint":
+                base: int | Fraction | Polynomial = self.uint()
+                if kinds[self.pos] == "/":
+                    self.pos += 1
+                    den_pos = self.starts[self.pos]
+                    den = self.uint()
+                    if den == 0:
+                        raise ZeroDenominator(den_pos)
+                    base = Fraction(base, den)
+                degree = 0
+            elif kind == "ident":
+                name = self.texts[self.pos]
+                if name not in self.parameters:
+                    raise UnknownParameter(name, start)
+                self.pos += 1
+                degree = 1
+            elif kind == "(":
+                self.pos += 1
+                if self.depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", start)
+                self.depth += 1
+                base = self.expr()
+                self.depth -= 1
+                if kinds[self.pos] != ")":
+                    raise self.unexpected([")"])
+                self.pos += 1
+                degree = base.degree()
+            else:
+                raise self.unexpected(["number", "identifier", "'('"])
+            exponent = 1
+            if kinds[self.pos] == "^":
+                self.pos += 1
+                exponent_pos = self.starts[self.pos]
+                exponent = self.uint()
+                if exponent * max(degree, 1) > MAX_POWER_DEGREE:
+                    raise ParseError(f"power exceeds degree {MAX_POWER_DEGREE}", exponent_pos)
+            if kind == "uint":
+                coeff *= base ** exponent
+            elif kind == "ident":
+                exps[name] = exps.get(name, 0) + exponent
+            else:
+                power = base if exponent == 1 else base ** exponent
+                product = power if product is None else product * power
+            if kinds[self.pos] != "*":
+                break
+            self.pos += 1
+        single = (Monomial(exps.items()), coeff)
+        return [single] if product is None else list((product * Polynomial((single,))).terms.items())
 
 
 def parse_poly(expr: str, parameters: Sequence[str]) -> Polynomial:
@@ -186,7 +186,11 @@ def parse_poly(expr: str, parameters: Sequence[str]) -> Polynomial:
     Identifiers must be declared parameters; '/' is only valid inside a
     rational literal.
     """
-    return _Parser(_tokenize(expr), parameters).parse()
+    return _Parser(expr, parameters).parse()
+
+
+def _unprintable() -> UmvueError:
+    return UmvueError(f"a number has more than {sys.get_int_max_str_digits()} digits and cannot be printed")
 
 
 def number_text(x: Fraction) -> str:
@@ -195,7 +199,7 @@ def number_text(x: Fraction) -> str:
     try:
         return str(x)
     except ValueError:
-        raise UmvueError(f"a number has more than {sys.get_int_max_str_digits()} digits and cannot be printed") from None
+        raise _unprintable() from None
 
 
 def format_poly(p: Polynomial) -> str:
@@ -203,17 +207,22 @@ def format_poly(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        mag = abs(coeff)
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in mono.exps]
-        if not factors:
-            body = number_text(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = number_text(mag) + "*" + "*".join(factors)
-        if not pieces:
-            pieces.append(body if coeff > 0 else "-" + body)
-        else:
-            pieces.append(("+ " if coeff > 0 else "- ") + body)
+    try:
+        for _, exps, coeff in sorted((sum(e for _, e in mono.exps), mono.exps, coeff)
+                                     for mono, coeff in p.terms.items()):
+            num, den = coeff.numerator, coeff.denominator
+            factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in exps)
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            if not factors:
+                body = mag
+            elif mag == "1":
+                body = factors
+            else:
+                body = f"{mag}*{factors}"
+            if pieces:
+                pieces.append(("- " if num < 0 else "+ ") + body)
+            else:
+                pieces.append("-" + body if num < 0 else body)
+    except ValueError:  # an integer past the interpreter's int-to-string limit
+        raise _unprintable() from None
     return " ".join(pieces)

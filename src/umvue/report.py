@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .analysis import (
     is_complete,
     minimal_sufficient_partition,
     umvue_functionals,
-    zero_mean_space,
 )
 from .errors import UmvueError
 from .expr import format_poly, number_text
@@ -95,14 +95,20 @@ def analyze_model(m: CategoricalModel) -> AnalysisReport:
         support=m.support,
         pmf=tuple(format_poly(p) for p in m.pmf),
         mve_partition=tuple(tuple(b) for b in mve.labelled(m.support)),
-        zero_mean_basis=tuple(
-            tuple(map(number_text, chi.values)) for chi in zero_mean_space(m)
-        ),
+        zero_mean_basis=tuple(_dense_text(chi, m.n) for chi in m.structure.kernel),
         umvue_functionals=tuple(format_poly(pi) for pi in umvue_functionals(m)),
         minimal_sufficient_partition=tuple(tuple(b) for b in ms.labelled(m.support)),
         is_minimal_sufficient_complete=is_complete(m, ms),
         is_mve_equal_minimal_sufficient=mve == ms,
     )
+
+
+def _dense_text(pairs: list[tuple[int, Fraction]], n: int) -> tuple[str, ...]:
+    # a kernel vector is its nonzero (cell, entry) pairs: print only those
+    row = ["0"] * n
+    for k, x in pairs:
+        row[k] = number_text(x)
+    return tuple(row)
 
 
 def render_text(report: AnalysisReport) -> str:

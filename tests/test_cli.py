@@ -6,7 +6,7 @@ import time
 import pytest
 
 from umvue import analyze_model, corpus_model, load_model, render_text, require_valid
-from umvue.cli import main
+from umvue.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -394,3 +394,39 @@ def test_decimal_exponent_within_the_limit_is_read(p23_file, capsys):
     assert code == 0
     assert "umvue: yes" in out
     assert f"statistic: ({10**4000}, " in out
+
+
+def test_slice_out_of_domain_error_line_stays_short(p23_file, capsys):
+    code, out, err = run(capsys, "slice", str(p23_file), "--bind", "theta=1e4000")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert len(lines[0]) < 200
+    assert "theta" in lines[0]
+
+
+# the parser is built once per process, so an append default (--bind,
+# --param) or a help exit must not carry from one main() call to the next
+@pytest.mark.parametrize("first, second, second_says", [
+    (["slice", "DEMO", "--bind", "eta=1/3"], ["slice", "DEMO"],
+     "error: slice needs at least one --bind NAME=VALUE\n"),
+    (["corpus", "emit", "binomial", "--param", "n=3"], ["corpus", "emit", "binomial", "--param", "n=4"],
+     '"4"'),
+    (["--help"], ["corpus", "emit", "binomial", "--param", "n=2"], '"2"'),
+], ids=["slice-bind", "corpus-param", "help"])
+def test_successive_calls_share_no_state(tmp_path, capsys, first, second, second_says):
+    demo = tmp_path / "demo.json"
+    assert main(["corpus", "emit", "two-param-demo", "-o", str(demo)]) == 0
+    first, second = ([str(demo) if a == "DEMO" else a for a in argv] for argv in (first, second))
+
+    def fresh(argv):
+        _build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    expected = [fresh(first), fresh(second)]
+    assert second_says in expected[1][1] + expected[1][2]
+    _build_parser.cache_clear()
+    assert [run(capsys, *first), run(capsys, *second)] == expected
+    assert [run(capsys, *first), run(capsys, *second)] == expected
+    assert _build_parser.cache_info().misses == 1

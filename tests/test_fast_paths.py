@@ -27,7 +27,15 @@ from umvue import (
     zero_mean_space,
 )
 from umvue.corpus import CORPUS
-from umvue.expr import format_poly, parse_poly
+from umvue.expr import (
+    MAX_NESTING,
+    MAX_POWER_DEGREE,
+    ParseError,
+    UnknownParameter,
+    ZeroDenominator,
+    format_poly,
+    parse_poly,
+)
 from umvue.model import interior_grid
 from umvue.poly import Monomial, Polynomial
 
@@ -161,6 +169,195 @@ def test_parse_matches_sympy(text):
     got = parse_poly(text, NAMES)
     assert {Monomial(dict(zip(NAMES, exps))): Fraction(int(c.p), int(c.q))
             for exps, c in expected.terms() if c != 0} == got.terms
+
+
+# --- the term-at-a-time parser against the recursive-descent one it replaces --
+
+_TOKEN = re.compile(r"(?P<space>[ \t\r\n]+)|(?P<symbol>[-+*/^()])|(?P<uint>\d+)|(?P<ident>\w+)|(?P<bad>.)",
+                    re.DOTALL)
+
+
+class ReferenceParser:
+    """One Polynomial per factor, multiplied and summed as the grammar reads."""
+
+    def __init__(self, text: str, parameters):
+        self.tokens = []  # (kind, text, position)
+        for match in _TOKEN.finditer(text):
+            kind, tok = match.lastgroup, match.group()
+            if kind == "bad" or kind == "ident" and not (tok[0].isalpha() or tok[0] == "_"):
+                raise ParseError(f"unexpected character {tok[0]!r}", match.start())
+            if kind != "space":
+                self.tokens.append((tok if kind == "symbol" else kind, tok, match.start()))
+        self.tokens.append(("end", "", len(text)))
+        self.pos = 0
+        self.variables = {name: Polynomial.variable(name) for name in parameters}
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], [kind])
+        return self.take()
+
+    def uint(self) -> int:
+        _, text, position = self.expect("uint")
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"number of {len(text)} digits is too long", position) from None
+
+    def parse(self) -> Polynomial:
+        result = self.expr()
+        kind, text, position = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", position, ["'+'", "'-'", "'*'", "end of input"])
+        return result
+
+    def expr(self) -> Polynomial:
+        terms = [self.term()]
+        while self.peek()[0] in "+-":
+            op = self.take()[0]
+            rhs = self.term()
+            terms.append(rhs if op == "+" else -rhs)
+        return Polynomial.sum(terms)
+
+    def term(self) -> Polynomial:
+        result = self.unary()
+        while self.peek()[0] == "*":
+            self.take()
+            result = result * self.unary()
+        return result
+
+    def unary(self) -> Polynomial:
+        if self.peek()[0] == "-":
+            self.take()
+            return -self.factor()
+        return self.factor()
+
+    def factor(self) -> Polynomial:
+        base = self.base()
+        if self.peek()[0] == "^":
+            self.take()
+            position = self.peek()[2]
+            exponent = self.uint()
+            if exponent * max(base.degree(), 1) > MAX_POWER_DEGREE:
+                raise ParseError(f"power exceeds degree {MAX_POWER_DEGREE}", position)
+            return base ** exponent
+        return base
+
+    def base(self) -> Polynomial:
+        kind, text, position = self.peek()
+        if kind == "uint":
+            num = self.uint()
+            if self.peek()[0] == "/":
+                self.take()
+                den_position = self.peek()[2]
+                den = self.uint()
+                if den == 0:
+                    raise ZeroDenominator(den_position)
+                return Polynomial.constant(Fraction(num, den))
+            return Polynomial.constant(num)
+        if kind == "ident":
+            self.take()
+            if text not in self.variables:
+                raise UnknownParameter(text, position)
+            return self.variables[text]
+        if kind == "(":
+            self.take()
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", position)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            self.expect(")")
+            return inner
+        raise ParseError(f"unexpected {text or 'end of input'!r}", position, ["number", "identifier", "'('"])
+
+
+def outcome(parse, text: str, parameters):
+    """The parsed terms, or the error's type, message and position."""
+    try:
+        p = parse(text, parameters)
+    except (ParseError, UnknownParameter, ZeroDenominator) as exc:
+        return type(exc), str(exc), exc.position
+    assert all(type(c) is Fraction for c in p.terms.values())
+    return p.terms
+
+
+def reference_parse(text: str, parameters) -> Polynomial:
+    return ReferenceParser(text, parameters).parse()
+
+
+# pieces of token soup: numbers, declared and undeclared names, every
+# operator, spaces, characters the tokenizer refuses, decimal digits of
+# another script, and exponents either side of the degree bound
+SOUP = ["0", "1", "2", "3", "12", "007", "٣", "theta", "eta", "mu", "nu", "_x", "x1", "²", "1a",
+        "+", "-", "-", "*", "*", "*", "/", "^", "^", "(", "(", ")", ")",
+        " ", "  ", "\t", "\n", "\r", "\x0b", "\xa0", "!", ".",
+        "^0", "^1", "^2", "^3", "^512", "^513", "^257", "1/0", "0/5", "3/4", "10^300"]
+RARE = ["", "theta + ", "9" * 5000, "(" * 101 + "theta" + ")" * 101, "(" * 100 + "theta" + ")" * 100,
+        "(theta + eta)^40", "(theta + 1)^600", "(1 - theta)^513", "theta^512*-theta^512"]
+
+
+def grammar_text(rng: random.Random, depth: int = 2) -> str:
+    """A random text in the grammar: signed terms of unary factors, powers
+    and parenthesised subexpressions."""
+    def factor() -> str:
+        kind = rng.randrange(5 if depth else 4)
+        if kind == 0:
+            base = str(rng.randint(0, 20))
+        elif kind == 1:
+            base = f"{rng.randint(0, 20)}/{rng.randint(0, 9)}"
+        elif kind in (2, 3):
+            base = rng.choice(NAMES)
+        else:  # a small power of a subexpression, so expansions stay cheap
+            return "(" + grammar_text(rng, depth - 1) + ")" + rng.choice(["", "", "^0", "^2"])
+        sign = "-" if rng.randrange(4) == 0 else ""
+        return sign + base + (f"^{rng.randint(0, 3)}" if rng.randrange(3) == 0 else "")
+
+    text = ""
+    for k in range(rng.randint(1, 3)):
+        if k or rng.randrange(4) == 0:
+            text += rng.choice([" + ", " - ", "+", "-"])
+        text += "*".join(factor() for _ in range(rng.randint(1, 3)))
+    return text
+
+
+def soup(rng: random.Random) -> str:
+    if rng.randrange(500) == 0:
+        return rng.choice(RARE)
+    if rng.randrange(2):
+        return "".join(rng.choice(SOUP) for _ in range(rng.randint(1, 12)))
+    text = grammar_text(rng, rng.randrange(3))
+    if rng.randrange(2):  # one piece of soup inserted somewhere, spaced so it
+        cut = rng.randint(0, len(text))  # cannot lengthen a number next to it
+        text = text[:cut] + " " + rng.choice(SOUP) + " " + text[cut:]
+    return text
+
+
+def test_parse_matches_the_recursive_descent_parser_on_token_soup():
+    rng = random.Random(15)
+    parsed = 0
+    for _ in range(20000):
+        text = soup(rng)
+        expected = outcome(reference_parse, text, NAMES)
+        assert outcome(parse_poly, text, NAMES) == expected, text
+        parsed += isinstance(expected, dict)
+    assert parsed > 2000  # valid texts are covered, not only errors
+
+
+def test_parse_matches_the_recursive_descent_parser_on_model_texts():
+    for m in [*corpus_cases(), *random_cases(300, 15)]:
+        for p in m.pmf:
+            text = format_poly(p)
+            assert outcome(parse_poly, text, m.parameters) == outcome(reference_parse, text, m.parameters)
 
 
 SYMBOLS = dict(zip(NAMES, sympy.symbols(NAMES)))
