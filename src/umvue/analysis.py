@@ -58,11 +58,11 @@ def is_umvue(m: CategoricalModel, g: Statistic) -> UmvueVerdict:
 
     cov(g, chi) = E(g*chi) for zero-mean chi, so g is a UMVUE iff g*chi is
     itself zero-mean, C.(g*chi) = 0, for every basis vector chi. The test
-    runs in integers on chi's support: g scaled by s_g and chi by s_chi
-    (_integer_kernel) give the integer vector s_g*s_chi*(g*chi). Its
-    product with C is zero iff C.(g*chi) is, because both scales are
-    nonzero, and divided by s_g*s_chi it holds E(g*chi) in the monomial
-    basis.
+    runs in integers on chi's support: chi is its elimination relation x
+    divided by x's leading entry x_lead, and g scaled by s_g is integer, so
+    g_int*x is the integer vector s_g*x_lead*(g*chi). Its product with C is
+    zero iff C.(g*chi) is, because both scales are nonzero, and divided by
+    s_g*x_lead it holds E(g*chi) in the monomial basis.
     """
     _check_length(m, g)
     s = m.structure
@@ -70,24 +70,16 @@ def is_umvue(m: CategoricalModel, g: Statistic) -> UmvueVerdict:
         return UmvueVerdict(True)
     g_scale, g_pairs = integer_form(enumerate(g.values))
     g_int = dict(g_pairs)
-    for chi, (chi_scale, support) in zip(s.kernel, _integer_kernel(m)):
+    for chi, relation in zip(s.kernel, s.reduced.relations):
         product = [0] * m.n
-        for k, x in support:
+        for k, x in relation:
             product[k] = g_int.get(k, 0) * x
         coords = s.matrix.mul_vector(product)
         if any(coords):
-            scale = g_scale * chi_scale
+            scale = g_scale * relation[0][1]
             residual = Polynomial({mono: c / scale for mono, c in zip(s.basis, coords) if c})
             return UmvueVerdict(False, witness=Statistic(dense(chi, m.n)), residual=residual)
     return UmvueVerdict(True)
-
-
-def _integer_kernel(m: CategoricalModel) -> list[tuple[int, list[tuple[int, int]]]]:
-    """integer_form of each zero-mean basis vector. Like mve_partition, it is
-    built on first use and kept on this instance only."""
-    if "integer_kernel" not in m.__dict__:
-        m.__dict__["integer_kernel"] = [integer_form(chi) for chi in m.structure.kernel]
-    return m.__dict__["integer_kernel"]
 
 
 def umvue_functionals(m: CategoricalModel) -> list[Polynomial]:

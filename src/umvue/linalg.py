@@ -1,18 +1,23 @@
-"""Exact rational matrices: reduced row echelon form, rank, null space and
-an integer matrix-vector product.
+"""Exact rational matrices: an elimination to pivots and kernel relations,
+the RREF, rank, null space and span solves read off it, and an integer
+matrix-vector product.
 
-Elimination is fraction-free and sparse. Each column is scaled by the LCM
-of its denominators, which keeps the pivot columns (the column matroid) and
-only rescales the kernel, and stored as {row: integer}. The columns are
-then taken in order. Each is reduced, in pivot order, against the earlier
-pivot vectors whose pivot rows it touches, by integer steps w <- a*w - b*v
-with gcd(a, b) divided out, and it carries the integer combination of
-original columns that it stands for. A column that leaves a remainder is
-the next pivot; the RREF is unique, so any of the remainder's rows may be
-its pivot row. A column reduced to zero leaves a kernel relation, and that
-relation is its expansion over the earlier pivot columns, i.e. its RREF
-column: no back-substitution is needed. A triangular or banded matrix
-therefore costs about its nonzeros, not its dense size.
+Each matrix keeps one integer copy, built on first use: column j scaled by
+the LCM s_j of its denominators and stored as {row: integer}. Scaling a
+column keeps the pivot columns (the column matroid) and only rescales the
+kernel. The elimination and the product both read that copy.
+
+Elimination is fraction-free and sparse. The columns are taken in order.
+Each is reduced, in pivot order, against the earlier pivot vectors whose
+pivot rows it touches, by integer steps w <- a*w - b*v with gcd(a, b)
+divided out, and it carries the integer combination of original columns
+that it stands for. A column that leaves a remainder is the next pivot; the
+RREF is unique, so any of the remainder's rows may be its pivot row. A
+column j reduced to zero leaves a relation sum_c x_c * column c = 0 on j
+and the earlier pivots, made primitive with x_j > 0: -x_c/x_j is j's RREF
+column and x/x_lead its kernel vector, with no back-substitution. A
+triangular or banded matrix therefore costs about its nonzeros, not its
+dense size.
 The null-space basis is normalized deterministically: one vector per free
 column in ascending column order, its leading nonzero entry scaled to 1.
 """
@@ -37,7 +42,7 @@ class Matrix:
         self.rows: tuple[Vector, ...] = tuple(
             tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
         )
-        self._integer_columns = None  # built by the first mul_vector
+        self._integer_columns = None  # built by the first rref or mul_vector
         self.nrows = len(self.rows)
         if self.nrows:
             widths = {len(r) for r in self.rows}
@@ -61,33 +66,36 @@ class Matrix:
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
+    def _integer(self) -> list[tuple[int, dict[int, int]]]:
+        """The integer copy: per column j, the lcm s_j of its denominators
+        and s_j times its nonzero entries as {row: integer}."""
+        if self._integer_columns is None:
+            columns = zip(*self.rows) if self.rows else [()] * self.ncols
+            self._integer_columns = [(s, dict(pairs)) for s, pairs in
+                                     (integer_form(enumerate(col)) for col in columns)]
+        return self._integer_columns
+
     def mul_vector(self, v: Sequence[Fraction | int]) -> Vector:
         """The exact product M.v, summed in integers.
 
-        The first call scales each row r by the lcm d_r of its denominators
-        and keeps every column as its nonzero (row, integer) pairs. Each call
-        scales v to integers by the lcm s of its denominators, adds s*v_j
-        times column j into integer row sums for the nonzero v_j only, and
-        returns row sum r over d_r*s. So a sparse v costs the nonzeros of
-        its support's columns, not the dense size of M.
+        With v_j = a_j/b_j, the integer copy's column j equals s_j times
+        M's, so s = lcm(b_j*s_j) over the nonzero v_j makes s*v_j*M_j equal
+        a_j*(s // (b_j*s_j)) times integer column j. Those are added into
+        integer row sums, and row sum r over s is the product. So a sparse v
+        costs the nonzeros of its support's columns, not the dense size of M.
         """
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        if self._integer_columns is None:
-            rows = [integer_form(enumerate(row)) for row in self.rows]
-            columns: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
-            for r, (_, pairs) in enumerate(rows):
-                for j, a in pairs:
-                    columns[j].append((r, a))
-            self._integer_columns = [d for d, _ in rows], columns
-        scales, columns = self._integer_columns
-        s, pairs = integer_form(enumerate(v))
+        columns = self._integer()
+        terms = [(x.numerator, x.denominator * columns[j][0], columns[j][1]) for j, x in enumerate(v) if x]
+        s = lcm(*(d for _, d, _ in terms))
         sums = [0] * self.nrows
-        for j, x in pairs:
-            for r, a in columns[j]:
-                sums[r] += a * x
+        for a, d, column in terms:
+            x = a * (s // d)
+            for r, c in column.items():
+                sums[r] += c * x
         zero = Fraction(0)
-        return tuple(Fraction(t, d * s) if t else zero for t, d in zip(sums, scales))
+        return tuple(Fraction(t, s) if t else zero for t in sums)
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,10 +120,37 @@ def integer_form(entries: Iterable[tuple[Key, Fraction | int]]) -> tuple[int, li
     return s, [(k, x.numerator * (s // x.denominator)) for k, x in nonzero]
 
 
+Relation = tuple[tuple[int, int], ...]
+
+
 class RrefResult(NamedTuple):
-    matrix: Matrix
+    """Pivot columns (strictly increasing) and one relation per non-pivot
+    column j, in column order: its (column, integer) pairs in ascending
+    column order, j last, primitive and with x_j > 0."""
+
+    nrows: int
+    ncols: int
     pivots: tuple[int, ...]
-    rank: int
+    relations: tuple[Relation, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The dense RREF, built on each read: row i holds 1 at pivot c =
+        pivots[i], and -x_c/x_j in each non-pivot column j whose relation
+        has an entry x_c at c."""
+        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
+        row_of = {}
+        for i, c in enumerate(self.pivots):
+            rows[i][c] = Fraction(1)
+            row_of[c] = i
+        for *expansion, (j, xj) in self.relations:
+            for c, x in expansion:
+                rows[row_of[c]][j] = Fraction(-x, xj)
+        return Matrix(rows, ncols=self.ncols)
 
 
 def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
@@ -131,20 +166,13 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, 
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Reduced row echelon form with pivot columns (strictly increasing)."""
-    ncols = m.ncols
-    scales, columns = [], []
-    for col in zip(*m.rows):
-        s, pairs = integer_form(enumerate(col))
-        scales.append(s)
-        columns.append(dict(pairs))
-    later = Counter(r for col in columns for r in col)  # row -> columns still to come
-    zero, one = Fraction(0), Fraction(1)
+    """The pivot columns and kernel relations of m's reduced row echelon form."""
+    columns = m._integer()
+    later = Counter(r for _, w in columns for r in w)  # row -> columns still to come
     pivots: list[int] = []
-    position: dict[int, int] = {}  # pivot column -> index of its pivot vector
     vectors: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (row, vector, combination)
-    reduced: list[list[Fraction]] = []
-    for j, w in enumerate(columns):
+    relations: list[Relation] = []
+    for j, (_, w) in enumerate(columns):
         for r in w:
             later[r] -= 1
         comb = {j: 1}
@@ -162,19 +190,17 @@ def rref(m: Matrix) -> RrefResult:
             # one fewest later columns touch, which keeps the fill-in low
             # whatever the order of the rows
             r = min(w, key=lambda i: (later[i], i))
-            position[j] = len(vectors)
             vectors.append((r, w, comb))
             pivots.append(j)
-            reduced.append([zero] * ncols)
-            reduced[-1][j] = one
         else:
-            # sum_c comb[c] * scales[c] * column c = 0 expands column j over
-            # the earlier pivots, and that expansion is its RREF column
-            den = comb.pop(j) * scales[j]
-            for c, x in comb.items():
-                reduced[position[c]][j] = Fraction(-x * scales[c], den)
-    reduced += [(zero,) * ncols] * (m.nrows - len(pivots))
-    return RrefResult(Matrix(reduced, ncols=ncols), tuple(pivots), len(pivots))
+            # sum_c comb[c] * s_c * column c = 0, on j and earlier pivots; made
+            # primitive with x_j > 0, so equal RREFs give equal relations
+            relation = sorted((c, x * columns[c][0]) for c, x in comb.items())
+            g = gcd(*(x for _, x in relation))
+            if relation[-1][1] < 0:
+                g = -g
+            relations.append(tuple((c, x // g) for c, x in relation))
+    return RrefResult(m.nrows, m.ncols, tuple(pivots), tuple(relations))
 
 
 def rank(m: Matrix) -> int:
@@ -192,21 +218,9 @@ def null_space(m: Matrix) -> list[Vector]:
 
 def kernel(reduced: RrefResult) -> list[list[tuple[int, Fraction]]]:
     """The null-space basis of `null_space`, read off an existing RREF, each
-    vector as its nonzero (column, entry) pairs in column order."""
-    red, pivots, _ = reduced
-    pivot_set = set(pivots)
-    one = Fraction(1)
-    basis = []
-    for free in range(red.ncols):
-        if free in pivot_set:
-            continue
-        # an RREF entry is nonzero only left of its column, so the lead is
-        # the first pivot entry, or the free column's own 1
-        support = [(pc, -row[free]) for pc, row in zip(pivots, red.rows) if row[free]]
-        support.append((free, one))
-        lead = support[0][1]
-        basis.append(support if lead == 1 else [(k, x / lead) for k, x in support])
-    return basis
+    vector as its nonzero (column, entry) pairs in column order: a relation
+    divided by its leading entry."""
+    return [[(c, Fraction(x, relation[0][1])) for c, x in relation] for relation in reduced.relations]
 
 
 def dense(v: Iterable[tuple[int, Fraction]], n: int) -> Vector:
@@ -224,12 +238,13 @@ def solve_in_span(columns: Sequence[Sequence[Fraction]], target: Sequence[Fracti
     they are dependent an arbitrary-but-deterministic solution is returned
     (free coefficients set to zero).
     """
-    mat = Matrix.from_columns(list(columns) + [target], nrows=len(target))
-    red, pivots, _ = rref(mat)
     n = len(columns)
-    if n in pivots:
+    reduced = rref(Matrix(zip(*columns, target), ncols=n + 1))
+    if n in reduced.pivots:
         return None
+    # target is the last column: its relation expands it over the pivots
     coeffs = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = red.rows[r][n]
+    *expansion, (_, xn) = reduced.relations[-1]
+    for c, x in expansion:
+        coeffs[c] = Fraction(-x, xn)
     return coeffs

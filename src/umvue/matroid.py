@@ -31,18 +31,13 @@ class GroundSetMismatch(UmvueError):
 
 
 def _fundamental_circuits(reduced: RrefResult) -> list[list[int]]:
-    """One circuit per non-pivot column j: the pivot columns in its
-    expansion over the leftmost-pivot basis, followed by j itself."""
-    red, pivots, _ = reduced
-    pivot_set = set(pivots)
+    """One circuit per non-pivot column j: the columns of its relation, the
+    pivot columns in its expansion over the leftmost-pivot basis and j."""
     circuits = []
-    for j in range(red.ncols):
-        if j in pivot_set:
-            continue
-        support = [pc for pc, row in zip(pivots, red.rows) if row[j] != 0]
-        if not support:
-            raise ZeroColumn(j)
-        circuits.append(support + [j])
+    for relation in reduced.relations:
+        if len(relation) == 1:
+            raise ZeroColumn(relation[0][0])
+        circuits.append([c for c, _ in relation])
     return circuits
 
 

@@ -114,8 +114,8 @@ class Structure(NamedTuple):
 
     basis: list[Monomial]   # row index of C
     matrix: Matrix          # C: column k holds cell k's coordinates
-    reduced: RrefResult     # RREF of C with its pivots and rank
-    kernel: list[list[tuple[int, Fraction]]]  # null-space basis, as nonzero (cell, entry) pairs
+    reduced: RrefResult     # C's pivots and one integer relation per non-pivot cell
+    kernel: list[list[tuple[int, Fraction]]]  # each relation over its lead, as nonzero (cell, entry) pairs
 
 
 @dataclass(frozen=True)

@@ -144,9 +144,6 @@ class Polynomial:
         """All monomials with nonzero coefficient, in canonical order."""
         return sorted(self.terms, key=Monomial.sort_key)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return [(m, self.terms[m]) for m in self.monomials()]
-
     def parameters(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for mono in self.terms:

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umvue.linalg import Matrix, null_space, rank, rref, solve_in_span
+from umvue.linalg import Matrix, dense, null_space, rank, rref, solve_in_span
 
 from helpers import from_sympy, matrix_of, sympy_rank, to_sympy
 
@@ -70,6 +71,7 @@ def test_rref_idempotent(seed):
     twice = rref(once.matrix)
     assert twice.matrix == once.matrix
     assert twice.pivots == once.pivots
+    assert twice == once  # primitive relations with x_j > 0 are unique
 
 
 @given(st.integers(0, 10**6))
@@ -155,6 +157,17 @@ def test_rref_and_null_space_match_sympy(m):
         [[from_sympy(x) for x in oracle.row(i)] for i in range(m.nrows)]
     expected = [normalized([from_sympy(x) for x in v]) for v in to_sympy(m.rows).nullspace()]
     assert null_space(m) == expected
+    # one integer relation per non-pivot column, in column order
+    free = [j for j in range(m.ncols) if j not in result.pivots]
+    assert [relation[-1][0] for relation in result.relations] == free
+    for relation in result.relations:
+        columns = [c for c, _ in relation]
+        j, xj = relation[-1]
+        assert all(type(x) is int for _, x in relation)
+        assert dense_product(m, dense(relation, m.ncols)) == (0,) * m.nrows
+        assert columns == sorted(columns)
+        assert set(columns[:-1]) <= {p for p in result.pivots if p < j}
+        assert gcd(*(x for _, x in relation)) == 1 and xj > 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,11 +204,15 @@ def test_mul_vector_matches_the_dense_fraction_sum(data):
         product = m.mul_vector(v)
         assert product == dense_product(m, v)
         assert all(type(x) is Fraction for x in product)
+        # rref reads the integer copy this product built, and the next product reads it after rref
+        assert rref(m) == rref(Matrix(m.rows, ncols=m.ncols))
 
 
 def test_mul_vector_edge_shapes():
     assert matrix_of([[0, 0, 0], [1, Fraction(1, 2), 0]]).mul_vector([3, Fraction(1, 3), 5]) == (0, Fraction(19, 6))
     assert Matrix([(), ()]).mul_vector(()) == (0, 0)
     assert Matrix([], ncols=2).mul_vector([1, 2]) == ()
+    assert rref(Matrix([], ncols=2)).relations == (((0, 1),), ((1, 1),))
+    assert null_space(Matrix([], ncols=2)) == [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         matrix_of([[1, 2]]).mul_vector([1])

@@ -3,12 +3,14 @@
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import umvue
 from umvue import (
     CategoricalModel,
+    Partition,
     Polynomial,
     Statistic,
     UmvueVerdict,
@@ -16,12 +18,16 @@ from umvue import (
     analyze_model,
     coefficient_matrix,
     corpus_model,
+    is_complete,
     is_umvue,
+    minimal_sufficient_partition,
     mve_partition,
     parse_poly,
     random_model,
     umvue_for,
+    umvue_functionals,
 )
+from umvue.corpus import CORPUS
 
 from helpers import block_constant_statistic, from_sympy, paper_power, to_sympy
 
@@ -112,6 +118,30 @@ def test_the_elimination_matches_sympy_on_model_matrices():
         assert reduced.pivots == pivots
         assert [list(row) for row in reduced.matrix.rows] == \
             [[from_sympy(x) for x in oracle.row(i)] for i in range(c.nrows)]
+
+
+def test_the_analysis_path_builds_no_dense_rref(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the analysis read a dense RREF")
+
+    monkeypatch.setattr(umvue.linalg.RrefResult, "matrix", property(refuse))
+    rng = random.Random(17)
+    models = [corpus_model(name, dict.fromkeys(keys, size))
+              for name, (_, keys) in CORPUS.items() for size in ((1, 2, 5, 12) if keys else (None,))]
+    failures = 0
+    for m in [*models, paper_power(2)]:
+        analyze_model(m)
+        partition = mve_partition(m)
+        g = block_constant_statistic(rng, partition)
+        raised = Statistic(g.values[:-1] + (g.values[-1] + 1,))
+        assert is_umvue(m, g)
+        failures += not is_umvue(m, raised)
+        basis = m.structure.basis
+        for target in [*umvue_functionals(m), Polynomial({basis[-1]: Fraction(1)}), parse_poly("zz", ["zz"])]:
+            umvue_for(m, target)
+        for p in (partition, minimal_sufficient_partition(m), Partition.one_block(m.n)):
+            is_complete(m, p)
+    assert failures  # the witness and residual are read too
 
 
 @pytest.mark.parametrize("name, params", [("binomial", {"n": 256}), ("lehmann-trunc", {"k": 511})])
