@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import UmvueError
-from .linalg import Matrix, dense, integer_form, null_space, solve_in_span
+from .linalg import Matrix, coordinates, dense, integer_form, null_space
 from .matroid import GroundSetMismatch, mve_partition, refines
 from .model import CategoricalModel, Partition, Statistic
 from .poly import MissingMonomial, Polynomial, coeff_vector
@@ -33,9 +33,10 @@ def _check_length(m: CategoricalModel, g: Statistic) -> None:
 
 
 def expectation(m: CategoricalModel, g: Statistic) -> Polynomial:
-    """E g as a polynomial in the parameters: sum_k g(k) * p_k."""
+    """E g as a polynomial in the parameters: sum_k g(k) * p_k, or C.g over the basis."""
     _check_length(m, g)
-    return Polynomial.sum(p * value for value, p in zip(g.values, m.pmf))
+    basis, c = m.coefficients
+    return Polynomial({mono: x for mono, x in zip(basis, c.mul_vector(g.values)) if x})
 
 
 def zero_mean_space(m: CategoricalModel) -> list[Statistic]:
@@ -129,7 +130,7 @@ def is_complete(m: CategoricalModel, p: Partition) -> bool:
     if not s.kernel or len(p.blocks) == m.n:
         return not s.kernel
     sums = [coeff_vector(q, s.basis) for q in _block_sums(m, p)]
-    return not null_space(Matrix.from_columns(sums))
+    return not null_space(Matrix(zip(*sums), ncols=len(sums)))
 
 
 class Estimability(Enum):
@@ -152,7 +153,9 @@ def umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
     """The UMVUE of a parametric function, or a diagnosis.
 
     If the target lies in the span of the block functionals pi_j, the UMVUE
-    is the statistic taking the (unique) coefficient c_j on block j.
+    is the statistic taking the (unique) coefficient c_j on block j. Circuits
+    lie in blocks, so over C's pivots pi_j and the target's share of block j
+    lie on block j's pivots: there the target's coordinates are c_j times C.1's.
     """
     s = m.structure
     try:
@@ -161,16 +164,18 @@ def umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
         return EstimateResult(Estimability.NOT_ESTIMABLE)
 
     partition = mve_partition(m)
-    coeffs = solve_in_span([coeff_vector(pi, s.basis) for pi in _block_sums(m, partition)], t)
-    if coeffs is None:
-        # the cells span every coordinate when C has full row rank
-        pivot_columns = [s.matrix.column(j) for j in s.reduced.pivots]
-        if s.reduced.rank < len(s.basis) and solve_in_span(pivot_columns, t) is None:
-            return EstimateResult(Estimability.NOT_ESTIMABLE)
-        return EstimateResult(Estimability.NO_UMVUE)
-
+    a = coordinates(s.matrix, t)
+    if a is None:
+        return EstimateResult(Estimability.NOT_ESTIMABLE)
+    sums = coordinates(s.matrix, s.matrix.mul_vector([1] * m.n))
     values = [Fraction(0)] * m.n
-    for c, block in zip(coeffs, partition.blocks):
+    coeffs = []
+    for block in partition.blocks:
+        # a block whose sum is zero (only in an invalid model) gets 0
+        c = next((a.get(k, 0) / sums[k] for k in block if k in sums), Fraction(0))
+        if any(a.get(k, 0) != c * sums.get(k, 0) for k in block):
+            return EstimateResult(Estimability.NO_UMVUE)
+        coeffs.append(c)
         for k in block:
             values[k] = c
     return EstimateResult(Estimability.OK, Statistic(tuple(values)), tuple(coeffs))

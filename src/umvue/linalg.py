@@ -1,5 +1,5 @@
 """Exact rational matrices: an elimination to pivots and kernel relations,
-the RREF, rank, null space and span solves read off it, and an integer
+the RREF, rank, null space and span coordinates read off it, and an integer
 matrix-vector product.
 
 Each matrix keeps one integer copy, built on first use: column j scaled by
@@ -15,9 +15,9 @@ that it stands for. A column that leaves a remainder is the next pivot; the
 RREF is unique, so any of the remainder's rows may be its pivot row. A
 column j reduced to zero leaves a relation sum_c x_c * column c = 0 on j
 and the earlier pivots, made primitive with x_j > 0: -x_c/x_j is j's RREF
-column and x/x_lead its kernel vector, with no back-substitution. A
-triangular or banded matrix therefore costs about its nonzeros, not its
-dense size.
+column and x/x_lead its kernel vector, with no back-substitution, so a
+triangular or banded matrix costs about its nonzeros. The pivot vectors stay
+on the matrix, and `coordinates` reduces any other vector against them too.
 The null-space basis is normalized deterministically: one vector per free
 column in ascending column order, its leading nonzero entry scaled to 1.
 """
@@ -36,13 +36,14 @@ Key = TypeVar("Key")
 class Matrix:
     """A rectangular matrix of Fractions. Immutable by convention."""
 
-    __slots__ = ("nrows", "ncols", "rows", "_integer_columns")
+    __slots__ = ("nrows", "ncols", "rows", "_integer_columns", "_pivot_vectors")
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ncols: int | None = None):
         self.rows: tuple[Vector, ...] = tuple(
             tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
         )
         self._integer_columns = None  # built by the first rref or mul_vector
+        self._pivot_vectors = None    # (row, vector, combination) triples, kept by rref
         self.nrows = len(self.rows)
         if self.nrows:
             widths = {len(r) for r in self.rows}
@@ -54,17 +55,8 @@ class Matrix:
         else:
             self.ncols = 0 if ncols is None else ncols
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]], nrows: int | None = None) -> "Matrix":
-        if not columns:
-            return cls([], ncols=0) if nrows is None else cls([()] * nrows, ncols=0)
-        return cls(zip(*columns))
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
-
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
+        return [tuple(row[j] for row in self.rows) for j in range(self.ncols)]
 
     def _integer(self) -> list[tuple[int, dict[int, int]]]:
         """The integer copy: per column j, the lcm s_j of its denominators
@@ -115,9 +107,9 @@ class Matrix:
 def integer_form(entries: Iterable[tuple[Key, Fraction | int]]) -> tuple[int, list[tuple[Key, int]]]:
     """(key, value) entries scaled to integers: the lcm s of the values'
     denominators and the (key, s*value) pairs of the nonzero values."""
-    nonzero = [(k, x) for k, x in entries if x]
-    s = lcm(*(x.denominator for _, x in nonzero))
-    return s, [(k, x.numerator * (s // x.denominator)) for k, x in nonzero]
+    ratios = [(k, r) for k, x in entries if (r := x.as_integer_ratio())[0]]
+    s = lcm(*[d for _, (_, d) in ratios])
+    return s, [(k, n * (s // d)) for k, (n, d) in ratios]
 
 
 Relation = tuple[tuple[int, int], ...]
@@ -165,8 +157,21 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, 
     return out
 
 
+def _reduce(vectors: list, w: dict[int, int], comb: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+    """w and its combination, reduced in one pass in pivot order: each pivot
+    vector is zero on the earlier pivot rows, so this clears all of w's."""
+    for r, v, vcomb in vectors:
+        b = w.get(r)
+        if b:
+            a = v[r]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            w, comb = _combine(a, w, b, v), _combine(a, comb, b, vcomb)
+    return w, comb
+
+
 def rref(m: Matrix) -> RrefResult:
-    """The pivot columns and kernel relations of m's reduced row echelon form."""
+    """The pivot columns and kernel relations of m's RREF; keeps m's pivot vectors."""
     columns = m._integer()
     later = Counter(r for _, w in columns for r in w)  # row -> columns still to come
     pivots: list[int] = []
@@ -175,16 +180,7 @@ def rref(m: Matrix) -> RrefResult:
     for j, (_, w) in enumerate(columns):
         for r in w:
             later[r] -= 1
-        comb = {j: 1}
-        # each pivot vector is zero on the pivot rows before its own, so one
-        # pass in pivot order clears every pivot row of w
-        for r, v, vcomb in vectors:
-            b = w.get(r)
-            if b:
-                a = v[r]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                w, comb = _combine(a, w, b, v), _combine(a, comb, b, vcomb)
+        w, comb = _reduce(vectors, w, {j: 1})
         if w:
             # the RREF is unique, so any row may hold the pivot: take the
             # one fewest later columns touch, which keeps the fill-in low
@@ -200,7 +196,22 @@ def rref(m: Matrix) -> RrefResult:
             if relation[-1][1] < 0:
                 g = -g
             relations.append(tuple((c, x // g) for c, x in relation))
+    m._pivot_vectors = vectors
     return RrefResult(m.nrows, m.ncols, tuple(pivots), tuple(relations))
+
+
+def coordinates(m: Matrix, v: Sequence[Fraction]) -> dict[int, Fraction] | None:
+    """v over m's pivot columns as {pivot: nonzero coefficient}, or None off
+    m's column space. v scaled by s to integers and reduced to zero leaves
+    x*s*v + sum_c y_c*s_c*column c = 0, so its coefficient is -y_c*s_c/(x*s)."""
+    if m._pivot_vectors is None:
+        rref(m)
+    s, pairs = integer_form(enumerate(v))
+    w, comb = _reduce(m._pivot_vectors, dict(pairs), {-1: 1})  # -1 stands for v
+    if w:
+        return None
+    x = comb.pop(-1) * s
+    return {c: Fraction(-y * m._integer()[c][0], x) for c, y in sorted(comb.items())}
 
 
 def rank(m: Matrix) -> int:
@@ -233,18 +244,6 @@ def dense(v: Iterable[tuple[int, Fraction]], n: int) -> Vector:
 
 def solve_in_span(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> list[Fraction] | None:
     """Solve sum_j c_j * columns[j] = target exactly; None if inconsistent.
-
-    When the columns are linearly independent the solution is unique; when
-    they are dependent an arbitrary-but-deterministic solution is returned
-    (free coefficients set to zero).
-    """
-    n = len(columns)
-    reduced = rref(Matrix(zip(*columns, target), ncols=n + 1))
-    if n in reduced.pivots:
-        return None
-    # target is the last column: its relation expands it over the pivots
-    coeffs = [Fraction(0)] * n
-    *expansion, (_, xn) = reduced.relations[-1]
-    for c, x in expansion:
-        coeffs[c] = Fraction(-x, xn)
-    return coeffs
+    Free coefficients are 0, so dependent columns give one fixed solution."""
+    found = coordinates(Matrix(zip(*columns), ncols=len(columns)), target)
+    return None if found is None else [found.get(j, Fraction(0)) for j in range(len(columns))]

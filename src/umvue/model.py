@@ -14,12 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm, prod
+from math import prod
 from typing import NamedTuple
 
 from .errors import UmvueError
 from .expr import format_poly, number_text, parse_poly
-from .linalg import Matrix, RrefResult, kernel, rref
+from .linalg import Matrix, RrefResult, integer_form, kernel, rref
 from .poly import Monomial, Polynomial, as_fraction, coeff_vector
 
 Interval = tuple[Fraction, Fraction]
@@ -110,7 +110,7 @@ class Partition:
 
 
 class Structure(NamedTuple):
-    """A model's coefficient matrix C, eliminated once, and what it yields."""
+    """C eliminated once, with its pivot vectors kept on C, and what it yields."""
 
     basis: list[Monomial]   # row index of C
     matrix: Matrix          # C: column k holds cell k's coordinates
@@ -157,11 +157,16 @@ class CategoricalModel:
         return len(self.support)
 
     @cached_property
+    def coefficients(self) -> tuple[list[Monomial], Matrix]:
+        """coefficient_matrix's basis and C, built once; `structure` eliminates this C."""
+        return coefficient_matrix(self)
+
+    @cached_property
     def structure(self) -> Structure:
         """The one elimination every analysis reads. It is kept on this
         instance only, as is matroid.mve_partition's result: an equal model
         loaded afresh eliminates again."""
-        basis, c = coefficient_matrix(self)
+        basis, c = self.coefficients
         reduced = rref(c)
         return Structure(basis, c, reduced, kernel(reduced))
 
@@ -257,14 +262,13 @@ def _integer_terms(p: Polynomial, parameters: Sequence[str]) -> list[tuple[int, 
     per parameter) terms. At a point a_i/b_i (b_i > 0), weighting each term
     by prod_i a_i^e_i * b_i^(top_i - e_i) gives p's value times a positive
     integer, so the integer sum has p's sign."""
-    scale = lcm(*(c.denominator for c in p.terms.values()))
     index = {name: i for i, name in enumerate(parameters)}
     terms = []
-    for mono, c in p.terms.items():
+    for mono, c in integer_form(p.terms.items())[1]:
         exps = [0] * len(parameters)
         for name, e in mono.exps:
             exps[index[name]] = e
-        terms.append((c.numerator * (scale // c.denominator), tuple(exps)))
+        terms.append((c, tuple(exps)))
     return terms
 
 
@@ -286,7 +290,7 @@ def coefficient_matrix(m: CategoricalModel) -> tuple[list[Monomial], Matrix]:
         monos.update(p.terms)
     basis = sorted(monos, key=Monomial.sort_key)
     columns = [coeff_vector(p, basis) for p in m.pmf]
-    return basis, Matrix.from_columns(columns, nrows=len(basis))
+    return basis, Matrix(zip(*columns), ncols=m.n)
 
 
 # --- model JSON format ------------------------------------------------------

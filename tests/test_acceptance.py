@@ -166,6 +166,20 @@ def test_c06_product_model_closure():
         assert elapsed < 120.0, f"took {elapsed:.3f} s"
 
 
+def test_c06_product_partition_is_the_product_mve_partition():
+    # the README proves equality for disjoint parameters; C06 asserts refinement only
+    for seed in range(50):
+        m1 = random_model(seed, n=2 + seed % 3, max_degree=2, n_params=1 + seed % 2)
+        m2 = rename_parameters(
+            random_model(10_000 + seed, n=2 + (seed // 3) % 3, max_degree=2, n_params=1),
+            {"theta": "tau", "eta": "xi"},
+        )
+        assert mve_partition(product_model(m1, m2)) == product_partition(mve_partition(m1), mve_partition(m2))
+    m = corpus_model("paper-2-3")
+    square = product_model(m, rename_parameters(m, {"theta": "tau"}))
+    assert mve_partition(square) == product_partition(mve_partition(m), mve_partition(m))
+
+
 def test_c07_completeness_baseline():
     with criterion(7, "binomial(2) has singleton MVE partition and complete "
                       "minimal sufficient statistic"):

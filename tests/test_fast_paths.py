@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from umvue import (
     CategoricalModel,
+    Estimability,
+    EstimateResult,
+    Matrix,
     Partition,
     Statistic,
     UmvueVerdict,
@@ -23,6 +26,9 @@ from umvue import (
     minimal_sufficient_partition,
     mve_partition,
     random_model,
+    rref,
+    umvue_for,
+    umvue_functionals,
     validate_model,
     zero_mean_space,
 )
@@ -37,9 +43,9 @@ from umvue.expr import (
     parse_poly,
 )
 from umvue.model import interior_grid
-from umvue.poly import Monomial, Polynomial
+from umvue.poly import MissingMonomial, Monomial, Polynomial, coeff_vector
 
-from helpers import block_constant_statistic, paper_power, random_statistic
+from helpers import block_constant_statistic, paper_power, random_fraction, random_statistic
 
 NAMES = ("theta", "eta", "mu")
 UNDECLARED = "nu"
@@ -420,8 +426,13 @@ def reference_is_umvue(m: CategoricalModel, g: Statistic) -> UmvueVerdict:
     for chi in zero_mean_space(m):
         product = g.pointwise_mul(chi)
         if any(sum((a * x for a, x in zip(row, product.values)), Fraction(0)) for row in rows):
-            return UmvueVerdict(False, witness=chi, residual=expectation(m, product))
+            return UmvueVerdict(False, witness=chi, residual=reference_expectation(m, product))
     return UmvueVerdict(True)
+
+
+def reference_expectation(m: CategoricalModel, g: Statistic) -> Polynomial:
+    """expectation as the fold sum_k g(k) * p_k of the cell polynomials."""
+    return Polynomial.sum(p * value for value, p in zip(g.values, m.pmf))
 
 
 def corpus_cases():
@@ -506,3 +517,68 @@ def test_minimal_sufficient_partition_matches_the_pairwise_loop(scaled):
 def test_minimal_sufficient_partition_matches_on_models():
     for m in [*corpus_cases(), *random_cases(300, 14)]:
         assert minimal_sufficient_partition(m) == reference_minimal_sufficient_partition(m)
+
+
+# --- span questions over the kept pivot vectors against second eliminations --
+
+def reference_solve_in_span(columns, target) -> list[Fraction] | None:
+    """Eliminate the columns with the target appended and read the target
+    column's relation over the pivots; None if the target is a pivot."""
+    n = len(columns)
+    reduced = rref(Matrix(zip(*columns, target), ncols=n + 1))
+    if n in reduced.pivots:
+        return None
+    coeffs = [Fraction(0)] * n
+    *expansion, (_, xn) = reduced.relations[-1]
+    for c, x in expansion:
+        coeffs[c] = Fraction(-x, xn)
+    return coeffs
+
+
+def reference_umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
+    """umvue_for by solving among the block sums and, when that fails, among
+    C's pivot columns, each by an elimination of its own."""
+    s = m.structure
+    try:
+        t = coeff_vector(target, s.basis)
+    except MissingMonomial:
+        return EstimateResult(Estimability.NOT_ESTIMABLE)
+    partition = mve_partition(m)
+    sums = [Polynomial.sum(m.pmf[k] for k in block) for block in partition.blocks]
+    coeffs = reference_solve_in_span([coeff_vector(pi, s.basis) for pi in sums], t)
+    if coeffs is None:
+        columns = coefficient_matrix(m)[1].columns()
+        if reference_solve_in_span([columns[j] for j in s.reduced.pivots], t) is None:
+            return EstimateResult(Estimability.NOT_ESTIMABLE)
+        return EstimateResult(Estimability.NO_UMVUE)
+    values = [Fraction(0)] * m.n
+    for c, block in zip(coeffs, partition.blocks):
+        for k in block:
+            values[k] = c
+    return EstimateResult(Estimability.OK, Statistic(tuple(values)), tuple(coeffs))
+
+
+def estimation_targets(rng: random.Random, m: CategoricalModel):
+    """Combinations of the block sums (ok), of the cells (often no UMVUE),
+    basis monomials (outside C's column space when rank < basis size) and
+    a monomial no cell has."""
+    basis = m.structure.basis
+    yield Polynomial.sum(p * random_fraction(rng) for p in umvue_functionals(m))
+    yield Polynomial.sum(p * random_fraction(rng) for p in m.pmf)
+    yield Polynomial({basis[rng.randrange(len(basis))]: Fraction(1)})
+    yield Polynomial({mono: random_fraction(rng) for mono in basis})
+    yield m.pmf[0] + Polynomial({Monomial({"zz": 1}): Fraction(1)})
+
+
+def test_umvue_for_and_expectation_match_the_second_eliminations():
+    rng = random.Random(22)
+    statuses = set()
+    for m in [*corpus_cases(), *random_cases(300, 15)]:
+        for target in estimation_targets(rng, m):
+            got = umvue_for(m, target)
+            assert got == reference_umvue_for(m, target)  # status, statistic and coefficients
+            outside = got.status is Estimability.NOT_ESTIMABLE and set(target.terms) <= set(m.structure.basis)
+            statuses.add("outside the column space" if outside else got.status)
+        for g in (random_statistic(rng, m.n), Statistic.constant(1, m.n)):
+            assert expectation(m, g) == reference_expectation(m, g)
+    assert statuses == {*Estimability, "outside the column space"}

@@ -10,6 +10,7 @@ import pytest
 import umvue
 from umvue import (
     CategoricalModel,
+    Estimability,
     Partition,
     Polynomial,
     Statistic,
@@ -18,6 +19,7 @@ from umvue import (
     analyze_model,
     coefficient_matrix,
     corpus_model,
+    expectation,
     is_complete,
     is_umvue,
     minimal_sufficient_partition,
@@ -26,6 +28,7 @@ from umvue import (
     random_model,
     umvue_for,
     umvue_functionals,
+    zero_mean_space,
 )
 from umvue.corpus import CORPUS
 
@@ -91,6 +94,36 @@ def test_the_mve_partition_is_joined_once_per_model(monkeypatch):
     fresh = corpus_model("paper-2-3")
     assert mve_partition(fresh) == mve_partition(m)
     assert len(calls) == 2
+
+
+def span_model() -> CategoricalModel:
+    """A model with a circuit block {0, 1, 2} whose C misses theta^3 in its
+    column space: rank 4 over the basis 1, theta, ..., theta^4."""
+    cells = ["theta", "theta^2", "theta + theta^2", "theta^3 + theta^4",
+             "1 - 2*theta - 2*theta^2 - theta^3 - theta^4"]
+    return CategoricalModel("abcde", [parse_poly(p, ["theta"]) for p in cells], ["theta"], {"theta": (0, Fraction(1, 10))})
+
+
+def test_span_questions_read_the_one_elimination(eliminations):
+    m = span_model()
+    analyze_model(m)
+    assert len(eliminations) == 1
+    targets = [("theta + theta^2", ["theta"]), ("theta", ["theta"]), ("theta^3", ["theta"]), ("zz", ["zz"])]
+    statuses = [umvue_for(m, parse_poly(text, names)).status for text, names in targets]
+    assert statuses == [Estimability.OK, Estimability.NO_UMVUE, Estimability.NOT_ESTIMABLE, Estimability.NOT_ESTIMABLE]
+    assert expectation(m, Statistic.of([1, 1, 1, 0, 0])) == parse_poly("2*theta + 2*theta^2", ["theta"])
+    assert len(eliminations) == 1
+    fresh = span_model()
+    assert expectation(fresh, Statistic.of([0, 0, 0, 1, 1])) == parse_poly("1 - 2*theta - 2*theta^2", ["theta"])
+    assert len(eliminations) == 1
+
+
+def test_an_all_zero_model_keeps_its_columns():
+    m = CategoricalModel(["a", "b"], [Polynomial.zero()] * 2, ["theta"], {"theta": (0, 1)})
+    assert zero_mean_space(m) == [Statistic.of([1, 0]), Statistic.of([0, 1])]
+    assert not is_complete(m, Partition.one_block(2))
+    with pytest.raises(ZeroColumn):
+        mve_partition(m)
 
 
 def test_a_zero_column_raises_on_every_call():
