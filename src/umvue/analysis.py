@@ -98,15 +98,14 @@ def _block_sums(m: CategoricalModel, p: Partition) -> list[Polynomial]:
 def minimal_sufficient_partition(m: CategoricalModel) -> Partition:
     """Proportionality classes: k, l share a block iff p_k = c*p_l with c > 0.
 
-    p_k = c*p_l with c > 0 iff both have the same primitive integer form:
-    the terms scaled by the lcm of their denominators, then divided by the
-    gcd of their numerators. Zero cells are proportional to nothing.
+    p_k = c*p_l with c > 0 iff both have the same primitive integer column
+    in C: the integer column divided by the gcd of its entries. Zero cells
+    are proportional to nothing.
     """
     blocks: dict[object, list[int]] = {}
-    for k, p in enumerate(m.pmf):
-        _, terms = integer_form(p.terms.items())
-        divisor = gcd(*(c for _, c in terms))
-        key = frozenset((mono, c // divisor) for mono, c in terms) if terms else k
+    for k, (_, column) in enumerate(m.coefficients[1].integer_columns):
+        divisor = gcd(*column.values())
+        key = frozenset((r, x // divisor) for r, x in column.items()) if column else k
         blocks.setdefault(key, []).append(k)
     return Partition(blocks.values())
 
@@ -156,6 +155,8 @@ def umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
     is the statistic taking the (unique) coefficient c_j on block j. Circuits
     lie in blocks, so over C's pivots pi_j and the target's share of block j
     lie on block j's pivots: there the target's coordinates are c_j times C.1's.
+    C.1's coordinates are the same for every target, so they are kept on this
+    instance, as mve_partition is.
     """
     s = m.structure
     try:
@@ -167,7 +168,9 @@ def umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
     a = coordinates(s.matrix, t)
     if a is None:
         return EstimateResult(Estimability.NOT_ESTIMABLE)
-    sums = coordinates(s.matrix, s.matrix.mul_vector([1] * m.n))
+    if "sum_coordinates" not in m.__dict__:
+        m.__dict__["sum_coordinates"] = coordinates(s.matrix, s.matrix.mul_vector([1] * m.n))
+    sums = m.__dict__["sum_coordinates"]
     values = [Fraction(0)] * m.n
     coeffs = []
     for block in partition.blocks:

@@ -2,10 +2,10 @@
 the RREF, rank, null space and span coordinates read off it, and an integer
 matrix-vector product.
 
-Each matrix keeps one integer copy, built on first use: column j scaled by
-the LCM s_j of its denominators and stored as {row: integer}. Scaling a
-column keeps the pivot columns (the column matroid) and only rescales the
-kernel. The elimination and the product both read that copy.
+A matrix is stored only as integer columns: column j scaled by the LCM s_j
+of its denominators, as {row: integer}; dense rows are built when read.
+Scaling a column keeps the pivot columns (the column matroid) and only
+rescales the kernel. The elimination and the product both read the columns.
 
 Elimination is fraction-free and sparse. The columns are taken in order.
 Each is reduced, in pivot order, against the earlier pivot vectors whose
@@ -34,51 +34,55 @@ Key = TypeVar("Key")
 
 
 class Matrix:
-    """A rectangular matrix of Fractions. Immutable by convention."""
+    """A rectangular matrix of Fractions, kept as integer columns. Immutable by convention."""
 
-    __slots__ = ("nrows", "ncols", "rows", "_integer_columns", "_pivot_vectors")
+    __slots__ = ("nrows", "ncols", "integer_columns", "_rows", "_pivot_vectors")
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ncols: int | None = None):
-        self.rows: tuple[Vector, ...] = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
-        )
-        self._integer_columns = None  # built by the first rref or mul_vector
-        self._pivot_vectors = None    # (row, vector, combination) triples, kept by rref
-        self.nrows = len(self.rows)
-        if self.nrows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols does not match rows")
-        else:
-            self.ncols = 0 if ncols is None else ncols
+        rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+        if len({len(r) for r in rows}) > 1:
+            raise ValueError("ragged rows")
+        if rows and ncols not in (None, len(rows[0])):
+            raise ValueError("ncols does not match rows")
+        self._scale(len(rows), map(enumerate, zip(*rows)) if rows else [()] * (ncols or 0))
+
+    @classmethod
+    def from_sparse_columns(cls, nrows: int, columns: Iterable[Iterable[tuple[int, Fraction]]]) -> Matrix:
+        """The matrix with one column per item, given as (row, entry) pairs, each row at most once."""
+        m = cls.__new__(cls)
+        m._scale(nrows, columns)
+        return m
+
+    def _scale(self, nrows: int, columns: Iterable[Iterable[tuple[int, Fraction]]]) -> None:
+        self.nrows = nrows
+        # per column j: the lcm s_j of its denominators, and s_j times its nonzero entries as {row: integer}
+        self.integer_columns = [(s, dict(pairs)) for s, pairs in map(integer_form, columns)]
+        self.ncols = len(self.integer_columns)
+        self._rows = self._pivot_vectors = None  # dense rows, built on first read; pivot vectors, kept by rref
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        if self._rows is None:
+            columns = [dense([(r, Fraction(x, s)) for r, x in c.items()], self.nrows)
+                       for s, c in self.integer_columns]
+            self._rows = tuple(zip(*columns)) if columns else ((),) * self.nrows
+        return self._rows
 
     def columns(self) -> list[Vector]:
         return [tuple(row[j] for row in self.rows) for j in range(self.ncols)]
 
-    def _integer(self) -> list[tuple[int, dict[int, int]]]:
-        """The integer copy: per column j, the lcm s_j of its denominators
-        and s_j times its nonzero entries as {row: integer}."""
-        if self._integer_columns is None:
-            columns = zip(*self.rows) if self.rows else [()] * self.ncols
-            self._integer_columns = [(s, dict(pairs)) for s, pairs in
-                                     (integer_form(enumerate(col)) for col in columns)]
-        return self._integer_columns
-
     def mul_vector(self, v: Sequence[Fraction | int]) -> Vector:
         """The exact product M.v, summed in integers.
 
-        With v_j = a_j/b_j, the integer copy's column j equals s_j times
-        M's, so s = lcm(b_j*s_j) over the nonzero v_j makes s*v_j*M_j equal
+        With v_j = a_j/b_j, integer column j equals s_j times M's column
+        j, so s = lcm(b_j*s_j) over the nonzero v_j makes s*v_j*M_j equal
         a_j*(s // (b_j*s_j)) times integer column j. Those are added into
         integer row sums, and row sum r over s is the product. So a sparse v
         costs the nonzeros of its support's columns, not the dense size of M.
         """
         if len(v) != self.ncols:
             raise ValueError("vector length does not match column count")
-        columns = self._integer()
+        columns = self.integer_columns
         terms = [(x.numerator, x.denominator * columns[j][0], columns[j][1]) for j, x in enumerate(v) if x]
         s = lcm(*(d for _, d, _ in terms))
         sums = [0] * self.nrows
@@ -90,11 +94,9 @@ class Matrix:
         return tuple(Fraction(t, s) if t else zero for t in sums)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        # each column's (lcm, entries) is canonical, so this compares the rows
+        return (isinstance(other, Matrix) and self.nrows == other.nrows
+                and self.integer_columns == other.integer_columns)
 
     def __hash__(self) -> int:
         return hash((self.ncols, self.rows))
@@ -172,7 +174,7 @@ def _reduce(vectors: list, w: dict[int, int], comb: dict[int, int]) -> tuple[dic
 
 def rref(m: Matrix) -> RrefResult:
     """The pivot columns and kernel relations of m's RREF; keeps m's pivot vectors."""
-    columns = m._integer()
+    columns = m.integer_columns
     later = Counter(r for _, w in columns for r in w)  # row -> columns still to come
     pivots: list[int] = []
     vectors: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (row, vector, combination)
@@ -204,6 +206,8 @@ def coordinates(m: Matrix, v: Sequence[Fraction]) -> dict[int, Fraction] | None:
     """v over m's pivot columns as {pivot: nonzero coefficient}, or None off
     m's column space. v scaled by s to integers and reduced to zero leaves
     x*s*v + sum_c y_c*s_c*column c = 0, so its coefficient is -y_c*s_c/(x*s)."""
+    if len(v) != m.nrows:
+        raise ValueError("vector length does not match row count")
     if m._pivot_vectors is None:
         rref(m)
     s, pairs = integer_form(enumerate(v))
@@ -211,7 +215,7 @@ def coordinates(m: Matrix, v: Sequence[Fraction]) -> dict[int, Fraction] | None:
     if w:
         return None
     x = comb.pop(-1) * s
-    return {c: Fraction(-y * m._integer()[c][0], x) for c, y in sorted(comb.items())}
+    return {c: Fraction(-y * m.integer_columns[c][0], x) for c, y in sorted(comb.items())}
 
 
 def rank(m: Matrix) -> int:
@@ -245,5 +249,7 @@ def dense(v: Iterable[tuple[int, Fraction]], n: int) -> Vector:
 def solve_in_span(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> list[Fraction] | None:
     """Solve sum_j c_j * columns[j] = target exactly; None if inconsistent.
     Free coefficients are 0, so dependent columns give one fixed solution."""
-    found = coordinates(Matrix(zip(*columns), ncols=len(columns)), target)
+    if any(len(column) != len(target) for column in columns):
+        raise ValueError("column and target lengths differ")
+    found = coordinates(Matrix.from_sparse_columns(len(target), map(enumerate, columns)), target)
     return None if found is None else [found.get(j, Fraction(0)) for j in range(len(columns))]

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .errors import UmvueError
 from .expr import format_poly, number_text, parse_poly
-from .linalg import Matrix, RrefResult, integer_form, kernel, rref
-from .poly import Monomial, Polynomial, as_fraction, coeff_vector
+from .linalg import Matrix, RrefResult, kernel, rref
+from .poly import Monomial, Polynomial, as_fraction
 
 Interval = tuple[Fraction, Fraction]
 
@@ -110,10 +110,11 @@ class Partition:
 
 
 class Structure(NamedTuple):
-    """C eliminated once, with its pivot vectors kept on C, and what it yields."""
+    """C eliminated once, with its pivot vectors kept on C, and what it yields.
+    C is the model's own `coefficients` table, the one validation reads."""
 
     basis: list[Monomial]   # row index of C
-    matrix: Matrix          # C: column k holds cell k's coordinates
+    matrix: Matrix          # C: column k holds cell k's coordinates, as integer column k
     reduced: RrefResult     # C's pivots and one integer relation per non-pivot cell
     kernel: list[list[tuple[int, Fraction]]]  # each relation over its lead, as nonzero (cell, entry) pairs
 
@@ -158,7 +159,8 @@ class CategoricalModel:
 
     @cached_property
     def coefficients(self) -> tuple[list[Monomial], Matrix]:
-        """coefficient_matrix's basis and C, built once; `structure` eliminates this C."""
+        """coefficient_matrix's basis and C, built once: validation, minimal
+        sufficiency and `expectation` read it, and `structure` eliminates it."""
         return coefficient_matrix(self)
 
     @cached_property
@@ -204,10 +206,11 @@ def interior_grid(lo: Fraction, hi: Fraction) -> list[Fraction]:
 def validate_model(m: CategoricalModel) -> ValidationReport:
     """Check labels, exact normalization, nonzero cells and sampled positivity.
 
-    Positivity is only sampled on the product of the interior_grid axes, not
-    proven on the whole box: every nonzero cell's sign is read exactly, in integers
-    (_integer_terms), and the first point with a non-positive cell is reported.
-    Exact normalization and nonzero-cell checks are full polynomial identities.
+    Both read the table C (`m.coefficients`) that the analysis reuses.
+    Normalization is the exact identity C.1 = the constant row. Positivity is
+    only sampled on the product of the interior_grid axes, not proven on the
+    whole box: each nonzero cell's sign is read exactly, in integers, off its
+    integer column, and the first point with a non-positive cell is reported.
     """
     issues: list[ValidationIssue] = []
 
@@ -225,7 +228,8 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
                 component=k,
             ))
 
-    residual = Polynomial.sum(m.pmf) - Polynomial.constant(1)
+    basis, c = m.coefficients
+    residual = Polynomial(zip(basis, c.mul_vector([1] * m.n))) - Polynomial.constant(1)
     if not residual.is_zero():
         issues.append(ValidationIssue(
             "not-normalized",
@@ -238,15 +242,18 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
             issues.append(ValidationIssue("zero-component", f"cell {k} is identically zero", component=k))
 
     if not any(issue.code == "undeclared-parameter" for issue in issues):
-        cells = [(k, _integer_terms(p, m.parameters)) for k, p in enumerate(m.pmf) if not p.is_zero()]
-        monomials = {exps for _, terms in cells for _, exps in terms}
-        tops = [max((exps[i] for exps in monomials), default=0) for i in range(len(m.parameters))]
+        # exponents per basis row: at a point a_i/b_i (b_i > 0), weighting row r by
+        # prod_i a_i^e_ri * b_i^(top_i - e_ri) makes an integer column's sum its cell's
+        # value times a positive integer, so the sum has the cell's sign
+        exponents = [[dict(mono.exps).get(name, 0) for name in m.parameters] for mono in basis]
+        cells = [(k, column.items()) for k, (_, column) in enumerate(c.integer_columns) if column]
+        tops = [max((exps[i] for exps in exponents), default=0) for i in range(len(m.parameters))]
         # each axis value a/b comes with its power table a^e * b^(top - e)
         axes = [[(v, [v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)])
                  for v in interior_grid(*m.domain[name])] for name, top in zip(m.parameters, tops)]
         for point in product(*axes):
-            weight = {exps: prod([table[e] for (_, table), e in zip(point, exps)]) for exps in monomials}
-            bad = [k for k, terms in cells if sum(c * weight[exps] for c, exps in terms) <= 0]
+            weight = [prod([table[e] for (_, table), e in zip(point, exps)]) for exps in exponents]
+            bad = [k for k, column in cells if sum(x * weight[r] for r, x in column) <= 0]
             if bad:
                 coords = tuple((name, v) for name, (v, _) in zip(m.parameters, point))
                 where = ", ".join(f"{name}={v}" for name, v in coords)
@@ -257,21 +264,6 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
     return ValidationReport(ok=not issues, issues=tuple(issues))
 
 
-def _integer_terms(p: Polynomial, parameters: Sequence[str]) -> list[tuple[int, tuple[int, ...]]]:
-    """p times the lcm of its denominators, as (integer coefficient, exponent
-    per parameter) terms. At a point a_i/b_i (b_i > 0), weighting each term
-    by prod_i a_i^e_i * b_i^(top_i - e_i) gives p's value times a positive
-    integer, so the integer sum has p's sign."""
-    index = {name: i for i, name in enumerate(parameters)}
-    terms = []
-    for mono, c in integer_form(p.terms.items())[1]:
-        exps = [0] * len(parameters)
-        for name, e in mono.exps:
-            exps[index[name]] = e
-        terms.append((c, tuple(exps)))
-    return terms
-
-
 def require_valid(m: CategoricalModel) -> CategoricalModel:
     report = validate_model(m)
     if not report.ok:
@@ -280,17 +272,16 @@ def require_valid(m: CategoricalModel) -> CategoricalModel:
 
 
 def coefficient_matrix(m: CategoricalModel) -> tuple[list[Monomial], Matrix]:
-    """Monomial basis and the matrix whose k-th column holds cell k's coordinates.
+    """Monomial basis and the matrix C whose k-th column holds cell k's coordinates.
 
     The basis is the union of the monomials of all cells in canonical order,
-    so identical models always produce identical (basis, matrix) pairs.
+    so identical models always produce identical (basis, matrix) pairs. C is
+    built as integer columns straight from the cells' terms, with no dense rows.
     """
-    monos: set[Monomial] = set()
-    for p in m.pmf:
-        monos.update(p.terms)
-    basis = sorted(monos, key=Monomial.sort_key)
-    columns = [coeff_vector(p, basis) for p in m.pmf]
-    return basis, Matrix(zip(*columns), ncols=m.n)
+    basis = sorted({mono for p in m.pmf for mono in p.terms}, key=Monomial.sort_key)
+    row = {mono: i for i, mono in enumerate(basis)}
+    return basis, Matrix.from_sparse_columns(len(basis), [[(row[mono], x) for mono, x in p.terms.items()]
+                                                          for p in m.pmf])
 
 
 # --- model JSON format ------------------------------------------------------

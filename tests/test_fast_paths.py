@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -517,6 +518,57 @@ def test_minimal_sufficient_partition_matches_the_pairwise_loop(scaled):
 def test_minimal_sufficient_partition_matches_on_models():
     for m in [*corpus_cases(), *random_cases(300, 14)]:
         assert minimal_sufficient_partition(m) == reference_minimal_sufficient_partition(m)
+
+
+# --- the table built from the cell terms against the dense construction ------
+
+def reference_coefficient_matrix(m: CategoricalModel) -> tuple[list[Monomial], Matrix]:
+    """C as dense rows of coordinate vectors, each column scaled to integers
+    afterwards by the dense Matrix constructor."""
+    monos: set[Monomial] = set()
+    for p in m.pmf:
+        monos.update(p.terms)
+    basis = sorted(monos, key=Monomial.sort_key)
+    columns = [coeff_vector(p, basis) for p in m.pmf]
+    return basis, Matrix(zip(*columns), ncols=m.n)
+
+
+def reference_primitive_partition(m: CategoricalModel) -> Partition:
+    """Cells keyed by their primitive integer terms, monomial by monomial."""
+    blocks: dict[object, list[int]] = {}
+    for k, p in enumerate(m.pmf):
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        terms = [(mono, int(c * scale)) for mono, c in p.terms.items()]
+        divisor = gcd(*(c for _, c in terms))
+        key = frozenset((mono, c // divisor) for mono, c in terms) if terms else k
+        blocks.setdefault(key, []).append(k)
+    return Partition(blocks.values())
+
+
+def check_table(m: CategoricalModel) -> None:
+    basis, c = coefficient_matrix(m)
+    reference_basis, reference = reference_coefficient_matrix(m)
+    assert basis == reference_basis
+    assert c == reference and hash(c) == hash(reference)
+    assert (c.nrows, c.ncols) == (reference.nrows, reference.ncols)
+    assert c.rows == reference.rows and c.columns() == reference.columns()
+    assert minimal_sufficient_partition(m) == reference_primitive_partition(m)
+
+
+ALL_ZERO = CategoricalModel(["a", "b"], [Polynomial.zero()] * 2, ["theta"], {"theta": (0, 1)})
+
+
+def test_the_table_matches_the_dense_construction_on_models():
+    for m in [*corpus_cases(), *random_cases(300, 26), ALL_ZERO]:
+        check_table(m)
+    assert coefficient_matrix(ALL_ZERO)[1].nrows == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(models())
+def test_the_table_matches_the_dense_construction(m):
+    # zero cells, undeclared parameters, negative multiples and unnormalized models
+    check_table(m)
 
 
 # --- span questions over the kept pivot vectors against second eliminations --

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umvue.linalg import Matrix, dense, null_space, rank, rref, solve_in_span
+from umvue.linalg import Matrix, coordinates, dense, null_space, rank, rref, solve_in_span
 
 from helpers import from_sympy, matrix_of, sympy_rank, to_sympy
 
@@ -204,7 +204,7 @@ def test_mul_vector_matches_the_dense_fraction_sum(data):
         product = m.mul_vector(v)
         assert product == dense_product(m, v)
         assert all(type(x) is Fraction for x in product)
-        # rref reads the integer copy this product built, and the next product reads it after rref
+        # the product and rref read the same integer columns, and the next product reads them after rref
         assert rref(m) == rref(Matrix(m.rows, ncols=m.ncols))
 
 
@@ -216,3 +216,26 @@ def test_mul_vector_edge_shapes():
     assert null_space(Matrix([], ncols=2)) == [(1, 0), (0, 1)]
     with pytest.raises(ValueError):
         matrix_of([[1, 2]]).mul_vector([1])
+
+
+def test_sparse_columns_build_the_dense_matrix():
+    half = Fraction(1, 2)
+    m = Matrix.from_sparse_columns(3, [[(2, half), (0, Fraction(-3))], [], [(1, Fraction(4, 6))]])
+    dense_m = matrix_of([[-3, 0, 0], [0, 0, Fraction(2, 3)], [half, 0, 0]])
+    assert m == dense_m and hash(m) == hash(dense_m)
+    assert m.rows == dense_m.rows and m.columns() == dense_m.columns()
+    assert m.integer_columns == [(2, {2: 1, 0: -6}), (1, {}), (3, {1: 2})]
+    assert Matrix.from_sparse_columns(2, []).rows == ((), ())
+    assert Matrix.from_sparse_columns(0, [[], []]) == Matrix([], ncols=2)
+    assert Matrix.from_sparse_columns(2, [[]]) != Matrix.from_sparse_columns(3, [[]])
+
+
+def test_span_readers_check_lengths():
+    with pytest.raises(ValueError):
+        solve_in_span([(1, 1)], (1,))  # a target shorter than the columns
+    with pytest.raises(ValueError):
+        solve_in_span([(1, 1), (1,)], (1, 1))  # ragged columns
+    with pytest.raises(ValueError):
+        coordinates(matrix_of([[1, 0], [0, 1]]), (1,))
+    assert solve_in_span([], ()) == []
+    assert solve_in_span([], (0, 0)) == [] and solve_in_span([], (0, 1)) is None

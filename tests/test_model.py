@@ -90,6 +90,14 @@ def test_non_positive_detected_on_grid():
     assert bad and bad[0].component == 0
 
 
+def test_a_cell_that_vanishes_at_a_grid_point_is_not_positive():
+    # (theta - 1/2)^2 is positive at every grid point but the third, where it is 0
+    square = (T - Fraction(1, 2)) * (T - Fraction(1, 2))
+    m = CategoricalModel(["a", "b"], [square, 1 - square], ["theta"], {"theta": (0, 1)})
+    bad = [(i.component, i.point) for i in validate_model(m).issues if i.code == "non-positive"]
+    assert bad == [(0, (("theta", Fraction(1, 2)),))]
+
+
 def test_undeclared_parameter_detected():
     m = CategoricalModel(
         support=["a", "b"],

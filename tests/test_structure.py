@@ -26,8 +26,10 @@ from umvue import (
     mve_partition,
     parse_poly,
     random_model,
+    require_valid,
     umvue_for,
     umvue_functionals,
+    validate_model,
     zero_mean_space,
 )
 from umvue.corpus import CORPUS
@@ -116,6 +118,48 @@ def test_span_questions_read_the_one_elimination(eliminations):
     fresh = span_model()
     assert expectation(fresh, Statistic.of([0, 0, 0, 1, 1])) == parse_poly("1 - 2*theta - 2*theta^2", ["theta"])
     assert len(eliminations) == 1
+
+
+def test_validation_builds_the_table_every_reader_uses(monkeypatch):
+    tables = []
+    original = umvue.model.coefficient_matrix
+
+    def counting(m):
+        tables.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("umvue") and getattr(module, "coefficient_matrix", None) is original:
+            monkeypatch.setattr(module, "coefficient_matrix", counting)
+    m = span_model()
+    assert "coefficients" not in vars(m)
+    assert validate_model(m).ok
+    assert "coefficients" in vars(m) and "structure" not in vars(m)
+    require_valid(m)
+    analyze_model(m)
+    assert is_umvue(m, Statistic.of([1, 1, 1, 0, 0])) and not is_umvue(m, Statistic.of([1, 0, 0, 0, 0]))
+    assert umvue_for(m, parse_poly("theta + theta^2", ["theta"])).status is Estimability.OK
+    assert expectation(m, Statistic.of([0, 0, 0, 1, 0])) == parse_poly("theta^3 + theta^4", ["theta"])
+    assert tables == [m]
+
+
+def test_umvue_for_reduces_the_block_sums_once_per_model(monkeypatch):
+    reduced = []
+    original = umvue.analysis.coordinates
+
+    def counting(c, v):
+        reduced.append(v)
+        return original(c, v)
+
+    monkeypatch.setattr(umvue.analysis, "coordinates", counting)
+    m = span_model()
+    target = parse_poly("theta + theta^2", ["theta"])
+    first = umvue_for(m, target)
+    assert len(reduced) == 2  # the target and C.1
+    assert umvue_for(m, target) == first
+    assert len(reduced) == 3  # the target only
+    assert umvue_for(span_model(), target) == first
+    assert len(reduced) == 5  # an equal model reduces C.1 again
 
 
 def test_an_all_zero_model_keeps_its_columns():
