@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import UmvueError
-from .linalg import Matrix, coordinates, dense, integer_form, null_space
+from .linalg import Matrix, coordinates, dense, integer_form, kernel, null_space
 from .matroid import GroundSetMismatch, mve_partition, refines
 from .model import CategoricalModel, Partition, Statistic
 from .poly import MissingMonomial, Polynomial, coeff_vector
@@ -41,7 +41,7 @@ def expectation(m: CategoricalModel, g: Statistic) -> Polynomial:
 
 def zero_mean_space(m: CategoricalModel) -> list[Statistic]:
     """Exact basis of the unbiased estimators of zero; empty iff complete."""
-    return [Statistic(dense(v, m.n)) for v in m.structure.kernel]
+    return [Statistic(dense(v, m.n)) for v in kernel(m.structure)]
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,22 @@ def is_umvue(m: CategoricalModel, g: Statistic) -> UmvueVerdict:
     s_g*x_lead it holds E(g*chi) in the monomial basis.
     """
     _check_length(m, g)
-    s = m.structure
-    if not s.kernel:  # a complete model has no zero-mean statistic to test against
+    relations = m.structure.relations
+    if not relations:  # a complete model has no zero-mean statistic to test against
         return UmvueVerdict(True)
+    basis, c = m.coefficients
     g_scale, g_pairs = integer_form(enumerate(g.values))
     g_int = dict(g_pairs)
-    for chi, relation in zip(s.kernel, s.reduced.relations):
+    for relation in relations:
         product = [0] * m.n
         for k, x in relation:
             product[k] = g_int.get(k, 0) * x
-        coords = s.matrix.mul_vector(product)
+        coords = c.mul_vector(product)
         if any(coords):
-            scale = g_scale * relation[0][1]
-            residual = Polynomial({mono: c / scale for mono, c in zip(s.basis, coords) if c})
-            return UmvueVerdict(False, witness=Statistic(dense(chi, m.n)), residual=residual)
+            lead = relation[0][1]
+            residual = Polynomial({mono: y / (g_scale * lead) for mono, y in zip(basis, coords) if y})
+            chi = dense([(k, Fraction(x, lead)) for k, x in relation], m.n)
+            return UmvueVerdict(False, witness=Statistic(chi), residual=residual)
     return UmvueVerdict(True)
 
 
@@ -123,12 +125,12 @@ def is_complete(m: CategoricalModel, p: Partition) -> bool:
     nonzero block-measurable statistic has identically zero mean."""
     if p.n != m.n:
         raise GroundSetMismatch(f"partition covers {p.n} cells, model has {m.n}")
-    s = m.structure
+    relations = m.structure.relations
     # a trivial kernel makes every family of block sums independent; with
     # singleton blocks the block sums are the cells themselves
-    if not s.kernel or len(p.blocks) == m.n:
-        return not s.kernel
-    sums = [coeff_vector(q, s.basis) for q in _block_sums(m, p)]
+    if not relations or len(p.blocks) == m.n:
+        return not relations
+    sums = [coeff_vector(q, m.coefficients[0]) for q in _block_sums(m, p)]
     return not null_space(Matrix(zip(*sums), ncols=len(sums)))
 
 
@@ -158,18 +160,18 @@ def umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
     C.1's coordinates are the same for every target, so they are kept on this
     instance, as mve_partition is.
     """
-    s = m.structure
+    basis, c = m.coefficients
     try:
-        t = coeff_vector(target, s.basis)
+        t = coeff_vector(target, basis)
     except MissingMonomial:  # no cell has this monomial
         return EstimateResult(Estimability.NOT_ESTIMABLE)
 
     partition = mve_partition(m)
-    a = coordinates(s.matrix, t)
+    a = coordinates(m.structure, t)
     if a is None:
         return EstimateResult(Estimability.NOT_ESTIMABLE)
     if "sum_coordinates" not in m.__dict__:
-        m.__dict__["sum_coordinates"] = coordinates(s.matrix, s.matrix.mul_vector([1] * m.n))
+        m.__dict__["sum_coordinates"] = coordinates(m.structure, c.mul_vector([1] * m.n))
     sums = m.__dict__["sum_coordinates"]
     values = [Fraction(0)] * m.n
     coeffs = []

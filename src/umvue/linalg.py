@@ -1,6 +1,6 @@
-"""Exact rational matrices: an elimination to pivots and kernel relations,
-the RREF, rank, null space and span coordinates read off it, and an integer
-matrix-vector product.
+"""Exact rational matrices: an elimination to pivots, kernel relations and
+pivot vectors, the RREF, rank, null space and span coordinates read off it,
+and an integer matrix-vector product.
 
 A matrix is stored only as integer columns: column j scaled by the LCM s_j
 of its denominators, as {row: integer}; dense rows are built when read.
@@ -10,14 +10,15 @@ rescales the kernel. The elimination and the product both read the columns.
 Elimination is fraction-free and sparse. The columns are taken in order.
 Each is reduced, in pivot order, against the earlier pivot vectors whose
 pivot rows it touches, by integer steps w <- a*w - b*v with gcd(a, b)
-divided out, and it carries the integer combination of original columns
-that it stands for. A column that leaves a remainder is the next pivot; the
-RREF is unique, so any of the remainder's rows may be its pivot row. A
-column j reduced to zero leaves a relation sum_c x_c * column c = 0 on j
-and the earlier pivots, made primitive with x_j > 0: -x_c/x_j is j's RREF
-column and x/x_lead its kernel vector, with no back-substitution, so a
-triangular or banded matrix costs about its nonzeros. The pivot vectors stay
-on the matrix, and `coordinates` reduces any other vector against them too.
+divided out, and it carries the integer combination of the rational columns
+that it stands for, starting at {j: s_j}. A column that leaves a remainder
+is the next pivot; the RREF is unique, so any of the remainder's rows may be
+its pivot row. A column j reduced to zero leaves a relation
+sum_c x_c * column c = 0 on j and the earlier pivots, made primitive with
+x_j > 0: -x_c/x_j is j's RREF column and x/x_lead its kernel vector, with no
+back-substitution, so a triangular or banded matrix costs about its
+nonzeros. `rref` is pure: the pivot vectors are part of its result, and
+`coordinates` reduces any other vector against them.
 The null-space basis is normalized deterministically: one vector per free
 column in ascending column order, its leading nonzero entry scaled to 1.
 """
@@ -25,9 +26,10 @@ column in ascending column order, its leading nonzero entry scaled to 1.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 Vector = tuple[Fraction, ...]
 Key = TypeVar("Key")
@@ -36,7 +38,7 @@ Key = TypeVar("Key")
 class Matrix:
     """A rectangular matrix of Fractions, kept as integer columns. Immutable by convention."""
 
-    __slots__ = ("nrows", "ncols", "integer_columns", "_rows", "_pivot_vectors")
+    __slots__ = ("nrows", "ncols", "integer_columns", "_rows")
 
     def __init__(self, rows: Iterable[Sequence[Fraction]], ncols: int | None = None):
         rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
@@ -58,18 +60,16 @@ class Matrix:
         # per column j: the lcm s_j of its denominators, and s_j times its nonzero entries as {row: integer}
         self.integer_columns = [(s, dict(pairs)) for s, pairs in map(integer_form, columns)]
         self.ncols = len(self.integer_columns)
-        self._rows = self._pivot_vectors = None  # dense rows, built on first read; pivot vectors, kept by rref
+        self._rows = None  # dense rows, built on first read
 
     @property
     def rows(self) -> tuple[Vector, ...]:
         if self._rows is None:
-            columns = [dense([(r, Fraction(x, s)) for r, x in c.items()], self.nrows)
-                       for s, c in self.integer_columns]
-            self._rows = tuple(zip(*columns)) if columns else ((),) * self.nrows
+            self._rows = tuple(zip(*self.columns())) if self.ncols else ((),) * self.nrows
         return self._rows
 
     def columns(self) -> list[Vector]:
-        return [tuple(row[j] for row in self.rows) for j in range(self.ncols)]
+        return [dense([(r, Fraction(x, s)) for r, x in c.items()], self.nrows) for s, c in self.integer_columns]
 
     def mul_vector(self, v: Sequence[Fraction | int]) -> Vector:
         """The exact product M.v, summed in integers.
@@ -99,7 +99,7 @@ class Matrix:
                 and self.integer_columns == other.integer_columns)
 
     def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
+        return hash((self.nrows, tuple((s, frozenset(c.items())) for s, c in self.integer_columns)))
 
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
@@ -115,17 +115,22 @@ def integer_form(entries: Iterable[tuple[Key, Fraction | int]]) -> tuple[int, li
 
 
 Relation = tuple[tuple[int, int], ...]
+PivotVector = tuple[int, dict[int, int], dict[int, int]]
 
 
-class RrefResult(NamedTuple):
-    """Pivot columns (strictly increasing) and one relation per non-pivot
-    column j, in column order: its (column, integer) pairs in ascending
-    column order, j last, primitive and with x_j > 0."""
+@dataclass(frozen=True)
+class RrefResult:
+    """Pivot columns (strictly increasing), one relation per non-pivot
+    column j in column order (its (column, integer) pairs in ascending column
+    order, j last, primitive, x_j > 0) and the pivot vectors as (pivot row,
+    vector, combination of the rational columns), each zero on the earlier
+    pivot rows. == and hash read only the pivots and relations."""
 
     nrows: int
     ncols: int
     pivots: tuple[int, ...]
     relations: tuple[Relation, ...]
+    pivot_vectors: tuple[PivotVector, ...] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -159,7 +164,8 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, 
     return out
 
 
-def _reduce(vectors: list, w: dict[int, int], comb: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
+def _reduce(vectors: Iterable[PivotVector], w: dict[int, int],
+            comb: dict[int, int]) -> tuple[dict[int, int], dict[int, int]]:
     """w and its combination, reduced in one pass in pivot order: each pivot
     vector is zero on the earlier pivot rows, so this clears all of w's."""
     for r, v, vcomb in vectors:
@@ -173,16 +179,16 @@ def _reduce(vectors: list, w: dict[int, int], comb: dict[int, int]) -> tuple[dic
 
 
 def rref(m: Matrix) -> RrefResult:
-    """The pivot columns and kernel relations of m's RREF; keeps m's pivot vectors."""
+    """The pivot columns, kernel relations and pivot vectors of m's RREF."""
     columns = m.integer_columns
     later = Counter(r for _, w in columns for r in w)  # row -> columns still to come
     pivots: list[int] = []
-    vectors: list[tuple[int, dict[int, int], dict[int, int]]] = []  # (row, vector, combination)
+    vectors: list[PivotVector] = []
     relations: list[Relation] = []
-    for j, (_, w) in enumerate(columns):
+    for j, (s, w) in enumerate(columns):
         for r in w:
             later[r] -= 1
-        w, comb = _reduce(vectors, w, {j: 1})
+        w, comb = _reduce(vectors, w, {j: s})  # w is s_j times column j
         if w:
             # the RREF is unique, so any row may hold the pivot: take the
             # one fewest later columns touch, which keeps the fill-in low
@@ -191,31 +197,28 @@ def rref(m: Matrix) -> RrefResult:
             vectors.append((r, w, comb))
             pivots.append(j)
         else:
-            # sum_c comb[c] * s_c * column c = 0, on j and earlier pivots; made
+            # sum_c comb[c] * column c = 0, on j and earlier pivots; made
             # primitive with x_j > 0, so equal RREFs give equal relations
-            relation = sorted((c, x * columns[c][0]) for c, x in comb.items())
-            g = gcd(*(x for _, x in relation))
+            relation = sorted(comb.items())
+            g = gcd(*comb.values())
             if relation[-1][1] < 0:
                 g = -g
             relations.append(tuple((c, x // g) for c, x in relation))
-    m._pivot_vectors = vectors
-    return RrefResult(m.nrows, m.ncols, tuple(pivots), tuple(relations))
+    return RrefResult(m.nrows, m.ncols, tuple(pivots), tuple(relations), tuple(vectors))
 
 
-def coordinates(m: Matrix, v: Sequence[Fraction]) -> dict[int, Fraction] | None:
-    """v over m's pivot columns as {pivot: nonzero coefficient}, or None off
-    m's column space. v scaled by s to integers and reduced to zero leaves
-    x*s*v + sum_c y_c*s_c*column c = 0, so its coefficient is -y_c*s_c/(x*s)."""
-    if len(v) != m.nrows:
+def coordinates(reduced: RrefResult, v: Sequence[Fraction]) -> dict[int, Fraction] | None:
+    """v over the pivot columns as {pivot: nonzero coefficient}, or None off
+    the column space. v scaled by s to integers and reduced to zero leaves
+    x*v + sum_c y_c*column c = 0, so its coefficient is -y_c/x."""
+    if len(v) != reduced.nrows:
         raise ValueError("vector length does not match row count")
-    if m._pivot_vectors is None:
-        rref(m)
     s, pairs = integer_form(enumerate(v))
-    w, comb = _reduce(m._pivot_vectors, dict(pairs), {-1: 1})  # -1 stands for v
+    w, comb = _reduce(reduced.pivot_vectors, dict(pairs), {-1: s})  # -1 stands for v
     if w:
         return None
-    x = comb.pop(-1) * s
-    return {c: Fraction(-y * m.integer_columns[c][0], x) for c, y in sorted(comb.items())}
+    x = comb.pop(-1)
+    return {c: Fraction(-y, x) for c, y in sorted(comb.items())}
 
 
 def rank(m: Matrix) -> int:
@@ -251,5 +254,5 @@ def solve_in_span(columns: Sequence[Sequence[Fraction]], target: Sequence[Fracti
     Free coefficients are 0, so dependent columns give one fixed solution."""
     if any(len(column) != len(target) for column in columns):
         raise ValueError("column and target lengths differ")
-    found = coordinates(Matrix.from_sparse_columns(len(target), map(enumerate, columns)), target)
+    found = coordinates(rref(Matrix.from_sparse_columns(len(target), map(enumerate, columns))), target)
     return None if found is None else [found.get(j, Fraction(0)) for j in range(len(columns))]

@@ -65,7 +65,7 @@ def mve_partition(m: CategoricalModel) -> Partition:
     instance only.
     """
     if "mve_partition" not in m.__dict__:
-        m.__dict__["mve_partition"] = _join(m.n, _fundamental_circuits(m.structure.reduced))
+        m.__dict__["mve_partition"] = _join(m.n, _fundamental_circuits(m.structure))
     return m.__dict__["mve_partition"]
 
 

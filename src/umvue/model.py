@@ -4,6 +4,10 @@ A model is a finite support, one exact polynomial per cell, and a box domain
 for the parameters. Because the domain is a product of non-degenerate
 intervals, a polynomial vanishing on it vanishes identically, so "for all
 theta" conditions reduce to coefficient-wise zero tests.
+
+A model keeps two values derived from its fields, which every analysis reads:
+its table C and monomial basis (`coefficients`), and C's one elimination
+(`structure`, a `linalg.RrefResult`).
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import prod
-from typing import NamedTuple
 
 from .errors import UmvueError
 from .expr import format_poly, number_text, parse_poly
-from .linalg import Matrix, RrefResult, kernel, rref
+from .linalg import Matrix, RrefResult, rref
 from .poly import Monomial, Polynomial, as_fraction
 
 Interval = tuple[Fraction, Fraction]
@@ -109,16 +112,6 @@ class Partition:
         return " ".join("{" + ", ".join(str(k) for k in b) + "}" for b in self.blocks)
 
 
-class Structure(NamedTuple):
-    """C eliminated once, with its pivot vectors kept on C, and what it yields.
-    C is the model's own `coefficients` table, the one validation reads."""
-
-    basis: list[Monomial]   # row index of C
-    matrix: Matrix          # C: column k holds cell k's coordinates, as integer column k
-    reduced: RrefResult     # C's pivots and one integer relation per non-pivot cell
-    kernel: list[list[tuple[int, Fraction]]]  # each relation over its lead, as nonzero (cell, entry) pairs
-
-
 @dataclass(frozen=True)
 class CategoricalModel:
     support: tuple[str, ...]
@@ -159,18 +152,16 @@ class CategoricalModel:
 
     @cached_property
     def coefficients(self) -> tuple[list[Monomial], Matrix]:
-        """coefficient_matrix's basis and C, built once: validation, minimal
-        sufficiency and `expectation` read it, and `structure` eliminates it."""
+        """coefficient_matrix's basis and C, built once: validation and every
+        analysis read it, and `structure` eliminates it."""
         return coefficient_matrix(self)
 
     @cached_property
-    def structure(self) -> Structure:
-        """The one elimination every analysis reads. It is kept on this
-        instance only, as is matroid.mve_partition's result: an equal model
-        loaded afresh eliminates again."""
-        basis, c = self.coefficients
-        reduced = rref(c)
-        return Structure(basis, c, reduced, kernel(reduced))
+    def structure(self) -> RrefResult:
+        """C's one elimination: pivots, one relation per non-pivot cell and
+        pivot vectors. It is kept on this instance only, as is mve_partition's
+        result: an equal model loaded afresh eliminates again."""
+        return rref(self.coefficients[1])
 
     def __eq__(self, other) -> bool:
         return (

@@ -17,6 +17,7 @@ from .analysis import (
 )
 from .errors import UmvueError
 from .expr import format_poly, number_text
+from .linalg import kernel
 from .matroid import mve_partition
 from .model import CategoricalModel
 
@@ -95,7 +96,7 @@ def analyze_model(m: CategoricalModel) -> AnalysisReport:
         support=m.support,
         pmf=tuple(format_poly(p) for p in m.pmf),
         mve_partition=tuple(tuple(b) for b in mve.labelled(m.support)),
-        zero_mean_basis=tuple(_dense_text(chi, m.n) for chi in m.structure.kernel),
+        zero_mean_basis=tuple(_dense_text(chi, m.n) for chi in kernel(m.structure)),
         umvue_functionals=tuple(format_poly(pi) for pi in umvue_functionals(m)),
         minimal_sufficient_partition=tuple(tuple(b) for b in ms.labelled(m.support)),
         is_minimal_sufficient_complete=is_complete(m, ms),

@@ -464,7 +464,7 @@ def umvue_statistics(rng: random.Random, m: CategoricalModel):
     yield block_constant
     yield Statistic(tuple(Fraction(10**40 * x.numerator + 1, 10**22 * x.denominator + 7)
                           for x in block_constant.values))
-    free = [k for k in range(m.n) if k not in m.structure.reduced.pivots]
+    free = [k for k in range(m.n) if k not in m.structure.pivots]
     for k in free[-1:] + rng.sample(free, min(2, len(free))):
         values = list(block_constant.values)
         values[k] += Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))
@@ -590,17 +590,17 @@ def reference_solve_in_span(columns, target) -> list[Fraction] | None:
 def reference_umvue_for(m: CategoricalModel, target: Polynomial) -> EstimateResult:
     """umvue_for by solving among the block sums and, when that fails, among
     C's pivot columns, each by an elimination of its own."""
-    s = m.structure
+    basis = m.coefficients[0]
     try:
-        t = coeff_vector(target, s.basis)
+        t = coeff_vector(target, basis)
     except MissingMonomial:
         return EstimateResult(Estimability.NOT_ESTIMABLE)
     partition = mve_partition(m)
     sums = [Polynomial.sum(m.pmf[k] for k in block) for block in partition.blocks]
-    coeffs = reference_solve_in_span([coeff_vector(pi, s.basis) for pi in sums], t)
+    coeffs = reference_solve_in_span([coeff_vector(pi, basis) for pi in sums], t)
     if coeffs is None:
         columns = coefficient_matrix(m)[1].columns()
-        if reference_solve_in_span([columns[j] for j in s.reduced.pivots], t) is None:
+        if reference_solve_in_span([columns[j] for j in m.structure.pivots], t) is None:
             return EstimateResult(Estimability.NOT_ESTIMABLE)
         return EstimateResult(Estimability.NO_UMVUE)
     values = [Fraction(0)] * m.n
@@ -614,7 +614,7 @@ def estimation_targets(rng: random.Random, m: CategoricalModel):
     """Combinations of the block sums (ok), of the cells (often no UMVUE),
     basis monomials (outside C's column space when rank < basis size) and
     a monomial no cell has."""
-    basis = m.structure.basis
+    basis = m.coefficients[0]
     yield Polynomial.sum(p * random_fraction(rng) for p in umvue_functionals(m))
     yield Polynomial.sum(p * random_fraction(rng) for p in m.pmf)
     yield Polynomial({basis[rng.randrange(len(basis))]: Fraction(1)})
@@ -629,7 +629,7 @@ def test_umvue_for_and_expectation_match_the_second_eliminations():
         for target in estimation_targets(rng, m):
             got = umvue_for(m, target)
             assert got == reference_umvue_for(m, target)  # status, statistic and coefficients
-            outside = got.status is Estimability.NOT_ESTIMABLE and set(target.terms) <= set(m.structure.basis)
+            outside = got.status is Estimability.NOT_ESTIMABLE and set(target.terms) <= set(m.coefficients[0])
             statuses.add("outside the column space" if outside else got.status)
         for g in (random_statistic(rng, m.n), Statistic.constant(1, m.n)):
             assert expectation(m, g) == reference_expectation(m, g)

@@ -223,6 +223,8 @@ def test_sparse_columns_build_the_dense_matrix():
     m = Matrix.from_sparse_columns(3, [[(2, half), (0, Fraction(-3))], [], [(1, Fraction(4, 6))]])
     dense_m = matrix_of([[-3, 0, 0], [0, 0, Fraction(2, 3)], [half, 0, 0]])
     assert m == dense_m and hash(m) == hash(dense_m)
+    assert m.columns() == [(-3, 0, half), (0, 0, 0), (0, Fraction(2, 3), 0)]
+    assert m._rows is None  # hash and columns read the integer columns
     assert m.rows == dense_m.rows and m.columns() == dense_m.columns()
     assert m.integer_columns == [(2, {2: 1, 0: -6}), (1, {}), (3, {1: 2})]
     assert Matrix.from_sparse_columns(2, []).rows == ((), ())
@@ -236,6 +238,6 @@ def test_span_readers_check_lengths():
     with pytest.raises(ValueError):
         solve_in_span([(1, 1), (1,)], (1, 1))  # ragged columns
     with pytest.raises(ValueError):
-        coordinates(matrix_of([[1, 0], [0, 1]]), (1,))
+        coordinates(rref(matrix_of([[1, 0], [0, 1]])), (1,))
     assert solve_in_span([], ()) == []
     assert solve_in_span([], (0, 0)) == [] and solve_in_span([], (0, 1)) is None

@@ -11,6 +11,7 @@ import umvue
 from umvue import (
     CategoricalModel,
     Estimability,
+    Matrix,
     Partition,
     Polynomial,
     Statistic,
@@ -27,6 +28,7 @@ from umvue import (
     parse_poly,
     random_model,
     require_valid,
+    rref,
     umvue_for,
     umvue_functionals,
     validate_model,
@@ -147,9 +149,9 @@ def test_umvue_for_reduces_the_block_sums_once_per_model(monkeypatch):
     reduced = []
     original = umvue.analysis.coordinates
 
-    def counting(c, v):
+    def counting(structure, v):
         reduced.append(v)
-        return original(c, v)
+        return original(structure, v)
 
     monkeypatch.setattr(umvue.analysis, "coordinates", counting)
     m = span_model()
@@ -191,10 +193,39 @@ def test_the_elimination_matches_sympy_on_model_matrices():
     for m in structure_cases():
         c = coefficient_matrix(m)[1]
         oracle, pivots = to_sympy(c.rows).rref()
-        reduced = m.structure.reduced
+        reduced = m.structure
         assert reduced.pivots == pivots
         assert [list(row) for row in reduced.matrix.rows] == \
             [[from_sympy(x) for x in oracle.row(i)] for i in range(c.nrows)]
+
+
+def analysis_cases():
+    models = [corpus_model(name, dict.fromkeys(keys, size))
+              for name, (_, keys) in CORPUS.items() for size in ((1, 2, 5, 12) if keys else (None,))]
+    return [*models, paper_power(2), span_model()]
+
+
+def analyze_every_way(m: CategoricalModel, rng: random.Random) -> set:
+    """Every analysis a caller can ask of a valid model, and the outcomes seen:
+    is_umvue passing and, raised at the last cell, failing with a witness and
+    residual; umvue_for on a block sum, a cell, the last basis monomial (in
+    span_model, outside C's column space) and a monomial no cell has."""
+    require_valid(m)
+    analyze_model(m)
+    partition = mve_partition(m)
+    g = block_constant_statistic(rng, partition)
+    raised = Statistic(g.values[:-1] + (g.values[-1] + 1,))
+    assert is_umvue(m, g)
+    outcomes = {is_umvue(m, raised).is_umvue}
+    basis = m.coefficients[0]
+    for target in [umvue_functionals(m)[0], m.pmf[0], Polynomial({basis[-1]: Fraction(1)}), parse_poly("zz", ["zz"])]:
+        status = umvue_for(m, target).status
+        outside = status is Estimability.NOT_ESTIMABLE and set(target.terms) <= set(basis)
+        outcomes.add("outside the column space" if outside else status)
+    expectation(m, g)
+    for p in (partition, minimal_sufficient_partition(m), Partition.one_block(m.n)):
+        is_complete(m, p)
+    return outcomes
 
 
 def test_the_analysis_path_builds_no_dense_rref(monkeypatch):
@@ -203,22 +234,23 @@ def test_the_analysis_path_builds_no_dense_rref(monkeypatch):
 
     monkeypatch.setattr(umvue.linalg.RrefResult, "matrix", property(refuse))
     rng = random.Random(17)
-    models = [corpus_model(name, dict.fromkeys(keys, size))
-              for name, (_, keys) in CORPUS.items() for size in ((1, 2, 5, 12) if keys else (None,))]
-    failures = 0
-    for m in [*models, paper_power(2)]:
-        analyze_model(m)
-        partition = mve_partition(m)
-        g = block_constant_statistic(rng, partition)
-        raised = Statistic(g.values[:-1] + (g.values[-1] + 1,))
-        assert is_umvue(m, g)
-        failures += not is_umvue(m, raised)
-        basis = m.structure.basis
-        for target in [*umvue_functionals(m), Polynomial({basis[-1]: Fraction(1)}), parse_poly("zz", ["zz"])]:
-            umvue_for(m, target)
-        for p in (partition, minimal_sufficient_partition(m), Partition.one_block(m.n)):
-            is_complete(m, p)
-    assert failures  # the witness and residual are read too
+    outcomes = set().union(*(analyze_every_way(m, rng) for m in analysis_cases()))
+    assert False in outcomes  # the witness and residual are read too
+
+
+def test_the_analyses_leave_the_table_as_built():
+    rng = random.Random(27)
+    outcomes = set()
+    for m in analysis_cases():
+        outcomes |= analyze_every_way(m, rng)
+        c = m.coefficients[1]
+        fresh = coefficient_matrix(m)[1]
+        slots = [getattr(c, name) for name in Matrix.__slots__]
+        assert slots == [getattr(fresh, name) for name in Matrix.__slots__]
+        assert c._rows is None
+        rref(c)
+        assert [getattr(c, name) for name in Matrix.__slots__] == slots
+    assert outcomes == {True, False, *Estimability, "outside the column space"}
 
 
 @pytest.mark.parametrize("name, params", [("binomial", {"n": 256}), ("lehmann-trunc", {"k": 511})])
