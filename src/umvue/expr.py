@@ -12,7 +12,7 @@ Grammar (no implicit multiplication):
 A power's degree, exponent times base degree (a constant base counts as 1),
 is at most MAX_POWER_DEGREE. The bound is per power: a product of powers is
 not bounded, so (1+theta)^500*(1+theta)^500*(1+theta)^500, 41 characters,
-expands to degree 1500 and takes seconds (ROADMAP.md, open item 5).
+expands to degree 1500, 1501 terms (ROADMAP.md, open item 5).
 Parentheses nest at most MAX_NESTING deep, far inside the interpreter's
 recursion limit. Digits are those int() reads (str.isdecimal), and a literal
 over the interpreter's int-from-string limit is a ParseError.
