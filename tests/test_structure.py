@@ -208,8 +208,8 @@ def analysis_cases():
 def analyze_every_way(m: CategoricalModel, rng: random.Random) -> set:
     """Every analysis a caller can ask of a valid model, and the outcomes seen:
     is_umvue passing and, raised at the last cell, failing with a witness and
-    residual; umvue_for on a block sum, a cell, the last basis monomial (in
-    span_model, outside C's column space) and a monomial no cell has."""
+    residual; umvue_for on every block sum, a cell, the last basis monomial
+    (in span_model, outside C's column space) and a monomial no cell has."""
     require_valid(m)
     analyze_model(m)
     partition = mve_partition(m)
@@ -218,7 +218,7 @@ def analyze_every_way(m: CategoricalModel, rng: random.Random) -> set:
     assert is_umvue(m, g)
     outcomes = {is_umvue(m, raised).is_umvue}
     basis = m.coefficients[0]
-    for target in [umvue_functionals(m)[0], m.pmf[0], Polynomial({basis[-1]: Fraction(1)}), parse_poly("zz", ["zz"])]:
+    for target in [*umvue_functionals(m), m.pmf[0],Polynomial({basis[-1]: Fraction(1)}), parse_poly("zz", ["zz"])]:
         status = umvue_for(m, target).status
         outside = status is Estimability.NOT_ESTIMABLE and set(target.terms) <= set(basis)
         outcomes.add("outside the column space" if outside else status)

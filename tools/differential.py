@@ -1,6 +1,7 @@
 """Fingerprint every answer the library gives on a fixed set of models.
 
-Run from the repository root, with the tree under test first on the path:
+Run it with the tree under test first on the path, from this repository
+for this tree and, say, `PYTHONPATH=OTHER/src` for another:
 
     PYTHONPATH=src python3 tools/differential.py
 
@@ -12,15 +13,18 @@ and cubed, 300 seeded random models and invalid models that skip validation
 (all-zero, a zero cell, unnormalized); an output that raises is recorded as
 its error type and message. Inputs are drawn from seeded generators and
 from the answers themselves (block-constant statistics, block-sum targets),
-so the lines depend on nothing but the tree.
+so the lines depend on nothing but the tree. The seeded generators it
+shares with the tests come from `tests/helpers.py`, which needs sympy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 from umvue import (
     CategoricalModel,
@@ -39,9 +43,7 @@ from umvue import (
     minimal_sufficient_partition,
     mve_partition,
     null_space,
-    product_model,
     random_model,
-    rename_parameters,
     rref,
     umvue_for,
     validate_model,
@@ -50,17 +52,12 @@ from umvue import (
 from umvue.corpus import CORPUS
 from umvue.linalg import solve_in_span
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import block_constant_statistic, paper_power, random_fraction, random_statistic  # noqa: E402
+
 SIZES = {"binomial": [*range(1, 16), 20, 24], "constant": [*range(1, 7)],
          "lehmann-trunc": [*range(1, 16), 20, 24, 30]}
 RANDOM_MODELS = 300
-
-
-def paper_power(k: int) -> CategoricalModel:
-    factors = [rename_parameters(corpus_model("paper-2-3"), {"theta": f"theta{i}"}) for i in range(k)]
-    m = factors[0]
-    for f in factors[1:]:
-        m = product_model(m, f)
-    return m
 
 
 def models():
@@ -80,36 +77,30 @@ def models():
     yield CategoricalModel("abc", [t, t * t, 1 - t * t], ["theta"], domain)
 
 
-def fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-def blocks(m: CategoricalModel) -> tuple[tuple[int, ...], ...]:
+def partition(m: CategoricalModel) -> Partition:
     try:
-        return mve_partition(m).blocks
+        return mve_partition(m)
     except ZeroColumn:  # a zero cell has no MVE partition: draw inputs over singletons
-        return Partition.singletons(m.n).blocks
+        return Partition.singletons(m.n)
 
 
 def statistics(rng: random.Random, m: CategoricalModel) -> list[Statistic]:
-    values = [Fraction(0)] * m.n
-    for block in blocks(m):
-        x = fraction(rng)
-        for k in block:
-            values[k] = x
-    raised = values[:-1] + [values[-1] + 1]
-    return [Statistic.constant(1, m.n), Statistic(tuple(fraction(rng) for _ in range(m.n))),
-            Statistic(tuple(values)), Statistic(tuple(raised))]
+    g = block_constant_statistic(rng, partition(m))
+    raised = Statistic(g.values[:-1] + (g.values[-1] + 1,))
+    return [Statistic.constant(1, m.n), random_statistic(rng, m.n), g, raised]
 
 
 def targets(rng: random.Random, m: CategoricalModel) -> list[Polynomial]:
     """Block-sum combinations (ok), cell combinations (often no UMVUE), a
     basis monomial (outside C's column space when rank < basis size) and a
-    monomial no cell has."""
+    monomial no cell has. Unlike the tests' targets these are drawn also on
+    invalid models: over singletons when a cell is zero, and with no basis
+    monomial when C has no rows."""
     basis = coefficient_matrix(m)[0]
+    sums = [Polynomial.sum(m.pmf[k] for k in block) for block in partition(m).blocks]
     found = [Polynomial.constant(1),
-             Polynomial.sum(Polynomial.sum(m.pmf[k] for k in block) * fraction(rng) for block in blocks(m)),
-             Polynomial.sum(p * fraction(rng) for p in m.pmf),
+             Polynomial.sum(s * random_fraction(rng) for s in sums),
+             Polynomial.sum(p * random_fraction(rng) for p in m.pmf),
              m.pmf[0] + Polynomial({Monomial({"zz": 1}): Fraction(1)})]
     if basis:
         found.append(Polynomial({basis[rng.randrange(len(basis))]: Fraction(1)}))
@@ -156,7 +147,7 @@ def answers(m: CategoricalModel, rng: random.Random):
     for target in targets(rng, m):
         yield "umvue_for", lambda t=target: estimate(m, t)
     for p in (Partition.one_block(m.n), Partition.singletons(m.n), minimal_sufficient_partition(m),
-              Partition(blocks(m))):
+              partition(m)):
         yield "is_complete", lambda p=p: str(is_complete(m, p))
 
 
