@@ -122,14 +122,23 @@ def is_sufficient(m: CategoricalModel, p: Partition) -> bool:
 
 def is_complete(m: CategoricalModel, p: Partition) -> bool:
     """True iff the block-sum functionals are linearly independent, so no
-    nonzero block-measurable statistic has identically zero mean."""
+    nonzero block-measurable statistic has identically zero mean.
+
+    A trivial kernel makes every family of block sums independent. A
+    sufficient p is complete iff it has rank C blocks, read off the one
+    elimination: every block of p holds positively proportional cells, so
+    its sum is a nonzero multiple of each of its columns, or zero for a zero
+    cell. Every column therefore lies in the span of the |p| block sums, so
+    that span is C's column space, of dimension rank C, and the sums are
+    independent iff there are rank C of them. Any other p has its block
+    sums eliminated.
+    """
     if p.n != m.n:
         raise GroundSetMismatch(f"partition covers {p.n} cells, model has {m.n}")
-    relations = m.structure.relations
-    # a trivial kernel makes every family of block sums independent; with
-    # singleton blocks the block sums are the cells themselves
-    if not relations or len(p.blocks) == m.n:
-        return not relations
+    if not m.structure.relations:
+        return True
+    if is_sufficient(m, p):
+        return len(p.blocks) == m.structure.rank
     sums = [coeff_vector(q, m.coefficients[0]) for q in _block_sums(m, p)]
     return not null_space(Matrix(zip(*sums), ncols=len(sums)))
 

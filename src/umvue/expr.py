@@ -10,17 +10,21 @@ Grammar (no implicit multiplication):
     rational := uint ('/' uint)?
 
 A power's degree, exponent times base degree (a constant base counts as 1),
-is at most MAX_POWER_DEGREE. The bound is per power: a product of powers is
-not bounded, so (1+theta)^500*(1+theta)^500*(1+theta)^500, 41 characters,
-expands to degree 1500, 1501 terms (ROADMAP.md, open item 5).
-Parentheses nest at most MAX_NESTING deep, far inside the interpreter's
-recursion limit. Digits are those int() reads (str.isdecimal), and a literal
-over the interpreter's int-from-string limit is a ParseError.
+is at most MAX_POWER_DEGREE, and so is each parameter's degree in a term,
+summed over its factors, monomial and parenthesised alike. A term is refused
+at the factor that crosses the bound, before any power in it is expanded, so
+(1+theta)^500*(1+theta)^500 fails at once. A power of a polynomial in several
+parameters may still have many terms: (1+theta+eta)^128 is within both bounds
+and has 8385 (ROADMAP.md, open item 5). Parentheses nest at most MAX_NESTING
+deep, far inside the interpreter's recursion limit. Digits are those int()
+reads (str.isdecimal), and a literal over the interpreter's int-from-string
+limit is a ParseError.
 
 A term is read in one pass: its numbers multiply into one coefficient and its
 parameter powers add into one exponent map, so it builds a single Monomial.
-Only a parenthesised factor is a Polynomial, multiplied and raised as one. An
-expression merges the (monomial, coefficient) pairs of all its terms at once.
+Only a parenthesised factor is a Polynomial; a term's are raised and
+multiplied as one after the term is read. An expression merges the
+(monomial, coefficient) pairs of all its terms at once.
 
 format_poly emits terms in canonical order (graded, then lexicographic by
 parameter name), with explicit '*' and '^', so parse_poly(format_poly(p)) == p.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .errors import UmvueError
@@ -126,7 +131,8 @@ class _Parser:
         kinds = self.kinds
         coeff: int | Fraction = sign
         exps: dict[str, int] = {}
-        product: Polynomial | None = None
+        powers: list[tuple[Polynomial, int]] = []  # parenthesised factors, expanded last
+        power_degrees: dict[str, int] = {}  # each parameter's degree in their product
         while True:
             if kinds[self.pos] == "-":
                 self.pos += 1
@@ -168,18 +174,31 @@ class _Parser:
                 exponent = self.uint()
                 if exponent * max(degree, 1) > MAX_POWER_DEGREE:
                     raise ParseError(f"power exceeds degree {MAX_POWER_DEGREE}", exponent_pos)
+            # a parameter's degree in the term, its exponent in exps plus its
+            # degree in the powers, is bounded before any power is expanded
             if kind == "uint":
                 coeff *= base ** exponent
             elif kind == "ident":
                 exps[name] = exps.get(name, 0) + exponent
+                if exps[name] + power_degrees.get(name, 0) > MAX_POWER_DEGREE:
+                    raise ParseError(f"product exceeds degree {MAX_POWER_DEGREE} in {name}", start)
             else:
-                power = base if exponent == 1 else base ** exponent
-                product = power if product is None else product * power
+                degrees: dict[str, int] = {}
+                for mono in base.terms:
+                    for var, e in mono.exps:
+                        degrees[var] = max(degrees.get(var, 0), e)
+                for var in sorted(degrees):
+                    power_degrees[var] = power_degrees.get(var, 0) + degrees[var] * exponent
+                    if power_degrees[var] + exps.get(var, 0) > MAX_POWER_DEGREE:
+                        raise ParseError(f"product exceeds degree {MAX_POWER_DEGREE} in {var}", start)
+                powers.append((base, exponent))
             if kinds[self.pos] != "*":
                 break
             self.pos += 1
         single = (Monomial(exps.items()), coeff)
-        return [single] if product is None else list((product * Polynomial((single,))).terms.items())
+        if not powers:
+            return [single]
+        return list(prod((base ** e for base, e in powers), start=Polynomial((single,))).terms.items())
 
 
 def parse_poly(expr: str, parameters: Sequence[str]) -> Polynomial:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,10 @@ from helpers import (
     block_constant_statistic,
     coefficient_rows,
     is_block_constant,
+    random_partition,
     random_statistic,
     spans_equal,
+    split_first_block,
     sympy_rank,
 )
 
@@ -139,6 +142,24 @@ def test_is_complete_examples():
     for name in ("paper-2-3", "bernoulli"):
         m = corpus_model(name)
         assert is_complete(m, Partition.one_block(m.n))
+
+
+def test_is_complete_matches_the_rank_of_the_block_sums():
+    # sympy's rank of the block sums' coefficients, on sufficient partitions
+    # (decided by their block count) and on others (eliminated)
+    rng = random.Random(28)
+    outcomes = Counter()
+    for seed in range(150):
+        m = random_model(seed, n=rng.randint(2, 30), max_degree=rng.randint(1, 3), n_params=rng.randint(1, 2))
+        sufficient = minimal_sufficient_partition(m)
+        finer = split_first_block(sufficient)
+        for p in (sufficient, *([finer] if finer else []), Partition.singletons(m.n),
+                  Partition.one_block(m.n), mve_partition(m), random_partition(rng, m.n)):
+            sums = [Polynomial.sum(m.pmf[k] for k in block) for block in p.blocks]
+            complete = is_complete(m, p)
+            assert complete == (sympy_rank(coefficient_rows(sums)) == len(p.blocks)), (seed, p)
+            outcomes[is_sufficient(m, p), complete] += 1
+    assert len(outcomes) == 4, outcomes
 
 
 def test_umvue_for_block_functional():

@@ -197,7 +197,8 @@ def test_zero_denominator_domain_is_input_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("target", ["theta^999999999", "(1+theta)^2000"])
+@pytest.mark.parametrize("target", ["theta^999999999", "(1+theta)^2000",
+                                    "(1+theta)^500*(1+theta)^500*(1+theta)^500"])
 def test_oversized_power_is_input_error_and_fast(p23_file, capsys, target):
     start = time.monotonic()
     code, _, err = run(capsys, "estimate", str(p23_file), "--target", target)

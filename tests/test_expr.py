@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,23 @@ def test_power_degree_bound():
     for text in ("theta^513", "(theta^2)^257", "(1+theta)^2000", "2^513"):
         with pytest.raises(ParseError):
             parse_poly(text, ["theta"])
+
+
+def test_product_degree_bound():
+    # a parameter's degree in a term, over its monomial and parenthesised
+    # factors together, is bounded as a power's is; other parameters add nothing
+    assert parse_poly("theta^256*(1+theta)^256", ["theta"]).degree() == MAX_POWER_DEGREE
+    assert parse_poly("theta^512*eta^512*(1+eta)^0", ["theta", "eta"]).degree() == 1024
+    assert parse_poly("theta^512*(theta-theta)^3 + theta^512", ["theta"]) == T ** 512
+    for text, position in [("(1+theta)^500*(1+theta)^500*(1+theta)^500", 14),
+                           ("theta^512*-theta", 11), ("(1+theta)^300*theta^300", 14),
+                           ("1 + (theta^2*(1-theta)^511)", 13)]:
+        start = time.monotonic()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ["theta"])
+        assert time.monotonic() - start < 1.0  # no power of the term is expanded
+        assert err.value.position == position
+        assert "product exceeds degree 512 in theta" in str(err.value)
 
 
 def test_nesting_bound():

@@ -236,11 +236,23 @@ class ReferenceParser:
         return Polynomial.sum(terms)
 
     def term(self) -> Polynomial:
-        result = self.unary()
+        degrees: dict[str, int] = {}  # each parameter's degree over the factors so far
+        result = self.bounded_unary(degrees)
         while self.peek()[0] == "*":
             self.take()
-            result = result * self.unary()
+            result = result * self.bounded_unary(degrees)
         return result
+
+    def bounded_unary(self, degrees: dict[str, int]) -> Polynomial:
+        """The next unary, after adding its degree in each parameter to degrees;
+        a sum past MAX_POWER_DEGREE raises at the factor, after any sign."""
+        position = self.tokens[self.pos + (self.peek()[0] == "-")][2]
+        factor = self.unary()
+        for name in sorted(factor.parameters()):
+            degrees[name] = degrees.get(name, 0) + max(dict(mono.exps).get(name, 0) for mono in factor.terms)
+            if degrees[name] > MAX_POWER_DEGREE:
+                raise ParseError(f"product exceeds degree {MAX_POWER_DEGREE} in {name}", position)
+        return factor
 
     def unary(self) -> Polynomial:
         if self.peek()[0] == "-":

@@ -62,6 +62,25 @@ def test_analyze_eliminates_the_coefficient_matrix_once(eliminations, name, para
     assert eliminations == [coefficient_matrix(m)[1]]
 
 
+def test_analyze_decides_minimal_sufficient_completeness_without_a_second_elimination(eliminations):
+    # the minimal sufficient partition is sufficient, so its completeness is
+    # its block count against rank C, read off the model's one elimination
+    rng = random.Random(28)
+    checked = 0
+    for seed in range(60):
+        shape = dict(n=rng.randint(2, 30), max_degree=rng.randint(1, 3), n_params=rng.randint(1, 2))
+        probe = random_model(seed, **shape)
+        sufficient = minimal_sufficient_partition(probe)
+        if sufficient == Partition.singletons(probe.n) or is_complete(probe, sufficient):
+            continue
+        m = random_model(seed, **shape)
+        eliminations.clear()
+        assert not analyze_model(m).is_minimal_sufficient_complete
+        assert eliminations == [coefficient_matrix(m)[1]]
+        checked += 1
+    assert checked >= 10
+
+
 def test_is_umvue_reuses_the_elimination(eliminations):
     m = corpus_model("paper-2-3")
     analyze_model(m)

@@ -12,8 +12,10 @@ every output. The inputs are the corpus at several sizes, paper-2-3 squared
 and cubed, 300 seeded random models and invalid models that skip validation
 (all-zero, a zero cell, unnormalized); an output that raises is recorded as
 its error type and message. Inputs are drawn from seeded generators and
-from the answers themselves (block-constant statistics, block-sum targets),
-so the lines depend on nothing but the tree. The seeded generators it
+from the answers themselves (block-constant statistics, block-sum targets,
+and for is_complete the minimal sufficient partition, that partition with a
+block split and a random partition), so the lines depend on nothing but the
+tree. The seeded generators it
 shares with the tests come from `tests/helpers.py`, which needs sympy.
 """
 
@@ -53,7 +55,14 @@ from umvue.corpus import CORPUS
 from umvue.linalg import solve_in_span
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import block_constant_statistic, paper_power, random_fraction, random_statistic  # noqa: E402
+from helpers import (  # noqa: E402
+    block_constant_statistic,
+    paper_power,
+    random_fraction,
+    random_partition,
+    random_statistic,
+    split_first_block,
+)
 
 SIZES = {"binomial": [*range(1, 16), 20, 24], "constant": [*range(1, 7)],
          "lehmann-trunc": [*range(1, 16), 20, 24, 30]}
@@ -146,8 +155,10 @@ def answers(m: CategoricalModel, rng: random.Random):
         yield "solve_in_span", lambda: str(solve_in_span(columns, unit))
     for target in targets(rng, m):
         yield "umvue_for", lambda t=target: estimate(m, t)
-    for p in (Partition.one_block(m.n), Partition.singletons(m.n), minimal_sufficient_partition(m),
-              partition(m)):
+    sufficient = minimal_sufficient_partition(m)
+    finer = split_first_block(sufficient)
+    for p in (Partition.one_block(m.n), Partition.singletons(m.n), sufficient, partition(m),
+              *([finer] if finer else []), random_partition(rng, m.n)):
         yield "is_complete", lambda p=p: str(is_complete(m, p))
 
 
