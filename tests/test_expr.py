@@ -106,11 +106,8 @@ def test_power_degree_bound():
     for text in ("theta^513", "(theta^2)^257", "(1+theta)^2000", "2^513"):
         with pytest.raises(ParseError):
             parse_poly(text, ["theta"])
-
-
-def test_product_degree_bound():
     # a parameter's degree in a term, over its monomial and parenthesised
-    # factors together, is bounded as a power's is; other parameters add nothing
+    # factors together, is bounded too; other parameters add nothing
     assert parse_poly("theta^256*(1+theta)^256", ["theta"]).degree() == MAX_POWER_DEGREE
     assert parse_poly("theta^512*eta^512*(1+eta)^0", ["theta", "eta"]).degree() == 1024
     assert parse_poly("theta^512*(theta-theta)^3 + theta^512", ["theta"]) == T ** 512

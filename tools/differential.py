@@ -15,8 +15,8 @@ its error type and message. Inputs are drawn from seeded generators and
 from the answers themselves (block-constant statistics, block-sum targets,
 and for is_complete the minimal sufficient partition, that partition with a
 block split and a random partition), so the lines depend on nothing but the
-tree. The seeded generators it
-shares with the tests come from `tests/helpers.py`, which needs sympy.
+tree. The seeded generators it shares with the tests come from
+`tests/helpers.py`, which needs sympy.
 """
 
 from __future__ import annotations
