@@ -65,13 +65,13 @@ def random_partition(rng: random.Random, n: int) -> Partition:
     return Partition(blocks.values())
 
 
-def split_first_block(p: Partition) -> Partition | None:
+def split_first_block(p: Partition) -> Partition:
     """p with its first block of two or more cells split into its first cell
-    and the rest, a strictly finer partition; None if p is all singletons."""
+    and the rest, a strictly finer partition; p itself if all singletons."""
     for i, block in enumerate(p.blocks):
         if len(block) > 1:
             return Partition([*p.blocks[:i], block[:1], block[1:], *p.blocks[i + 1:]])
-    return None
+    return p
 
 
 def random_polynomial(rng: random.Random, names=("theta", "eta"), max_degree: int = 3,

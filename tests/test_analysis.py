@@ -152,8 +152,7 @@ def test_is_complete_matches_the_rank_of_the_block_sums():
     for seed in range(150):
         m = random_model(seed, n=rng.randint(2, 30), max_degree=rng.randint(1, 3), n_params=rng.randint(1, 2))
         sufficient = minimal_sufficient_partition(m)
-        finer = split_first_block(sufficient)
-        for p in (sufficient, *([finer] if finer else []), Partition.singletons(m.n),
+        for p in (sufficient, split_first_block(sufficient), Partition.singletons(m.n),
                   Partition.one_block(m.n), mve_partition(m), random_partition(rng, m.n)):
             sums = [Polynomial.sum(m.pmf[k] for k in block) for block in p.blocks]
             complete = is_complete(m, p)

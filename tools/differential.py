@@ -156,9 +156,8 @@ def answers(m: CategoricalModel, rng: random.Random):
     for target in targets(rng, m):
         yield "umvue_for", lambda t=target: estimate(m, t)
     sufficient = minimal_sufficient_partition(m)
-    finer = split_first_block(sufficient)
     for p in (Partition.one_block(m.n), Partition.singletons(m.n), sufficient, partition(m),
-              *([finer] if finer else []), random_partition(rng, m.n)):
+              split_first_block(sufficient), random_partition(rng, m.n)):
         yield "is_complete", lambda p=p: str(is_complete(m, p))
 
 
