@@ -102,14 +102,17 @@ def minimal_sufficient_partition(m: CategoricalModel) -> Partition:
 
     p_k = c*p_l with c > 0 iff both have the same primitive integer column
     in C: the integer column divided by the gcd of its entries. Zero cells
-    are proportional to nothing.
+    are proportional to nothing. Like mve_partition, it is kept on this
+    instance only, so is_sufficient reads it without a second pass.
     """
-    blocks: dict[object, list[int]] = {}
-    for k, (_, column) in enumerate(m.coefficients[1].integer_columns):
-        divisor = gcd(*column.values())
-        key = frozenset((r, x // divisor) for r, x in column.items()) if column else k
-        blocks.setdefault(key, []).append(k)
-    return Partition(blocks.values())
+    if "minimal_sufficient_partition" not in m.__dict__:
+        blocks: dict[object, list[int]] = {}
+        for k, (_, column) in enumerate(m.coefficients[1].integer_columns):
+            divisor = gcd(*column.values())
+            key = frozenset((r, x // divisor) for r, x in column.items()) if column else k
+            blocks.setdefault(key, []).append(k)
+        m.__dict__["minimal_sufficient_partition"] = Partition(blocks.values())
+    return m.__dict__["minimal_sufficient_partition"]
 
 
 def is_sufficient(m: CategoricalModel, p: Partition) -> bool:

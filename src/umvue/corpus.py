@@ -101,11 +101,11 @@ def lehmann_trunc_model(k: int) -> CategoricalModel:
     theta + (1-theta)(1-theta^k) + (1-theta)theta^k = 1.
     """
     _check_size("lehmann-trunc", "k", k, MAX_POWER_DEGREE - 1)  # its top degree is k + 1
-    t = _theta()
-    one_minus = Polynomial.constant(1) - t
-    pmf = [t]
-    pmf += [one_minus * one_minus * (t ** j) for j in range(k)]
-    pmf.append(one_minus * (t ** k))
+    powers = [Monomial({THETA: d}) for d in range(k + 2)]
+    # written out term by term: theta^j - 2*theta^(j+1) + theta^(j+2), then theta^k - theta^(k+1)
+    pmf = [Polynomial(((powers[1], 1),))]
+    pmf += [Polynomial(((powers[j], 1), (powers[j + 1], -2), (powers[j + 2], 1))) for j in range(k)]
+    pmf.append(Polynomial(((powers[k], 1), (powers[k + 1], -1))))
     return CategoricalModel(
         support=["-1"] + [str(j) for j in range(k)] + ["T"],
         pmf=pmf,

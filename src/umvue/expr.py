@@ -36,10 +36,10 @@ import re
 import sys
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import UmvueError
-from .poly import Monomial, Polynomial
+from .poly import Monomial, Polynomial, _collect
 
 
 class ParseError(UmvueError):
@@ -201,13 +201,81 @@ class _Parser:
         return list(prod((base ** e for base, e in powers), start=Polynomial((single,))).terms.items())
 
 
+# format_poly's form: signed terms joined by ' + ' or ' - ', each a rational
+# magnitude, a '*'-joined product of parameter powers, or the two joined by '*'
+_NAME = r"[^\W\d]\w*"
+_MONOMIAL = rf"{_NAME}(?:\^\d+)?(?:\*{_NAME}(?:\^\d+)?)*"
+_BODY = rf"\d+(?:/\d+)?(?:\*{_MONOMIAL})?|{_MONOMIAL}"
+_CANONICAL = re.compile(rf"-?(?:{_BODY})(?: [-+] (?:{_BODY}))*")
+# per term: its sign, numerator, denominator and monomial (after a magnitude or alone)
+_TERM = re.compile(rf"(?:^(-?)| ([-+]) )(?:(\d+)(?:/(\d+))?(?:\*({_MONOMIAL}))?|({_MONOMIAL}))")
+
+
+class _CanonicalReader:
+    """Reads a text in format_poly's form in one pass, or returns None.
+
+    One fullmatch checks the whole text and one findall walks its terms;
+    each term's coefficient is built from its integers and its monomial is
+    looked up by its text in a table that the texts of one reader share.
+    A text is refused, for the grammar parser to read or reject, at any
+    doubt: a name that is undeclared or does not start with a letter or
+    '_', an exponent 0, a zero denominator, a literal past the
+    int-from-string limit, or a parameter's degree in a term past
+    MAX_POWER_DEGREE. Every name is checked as it is read, so even one whose
+    power drops out of the monomial is.
+    """
+
+    def __init__(self, parameters: Sequence[str]):
+        self.names = frozenset(p for p in parameters if p[:1].isalpha() or p[:1] == "_")
+        self.monomials: dict[str, Monomial | None] = {"": Monomial()}
+
+    def monomial(self, text: str) -> Monomial | None:
+        exps: dict[str, int] = {}
+        for factor in text.split("*"):
+            name, _, power = factor.partition("^")
+            try:
+                e = int(power) if power else 1
+            except ValueError:  # past the int-from-string limit
+                return None
+            if name not in self.names or e == 0 or exps.get(name, 0) + e > MAX_POWER_DEGREE:
+                return None
+            exps[name] = exps.get(name, 0) + e
+        return Monomial(exps.items())
+
+    def read(self, text: str) -> Polynomial | None:
+        if not _CANONICAL.fullmatch(text):
+            return None
+        monomials = self.monomials
+        terms = []
+        try:
+            for lead, sign, num, den, after, alone in _TERM.findall(text):
+                key = after or alone
+                mono = monomials[key] if key in monomials else monomials.setdefault(key, self.monomial(key))
+                d = int(den) if den else 1
+                if mono is None or d == 0:
+                    return None
+                coeff = Fraction(int(num), d) if num else Fraction(1)
+                terms.append((mono, -coeff if lead or sign == "-" else coeff))
+        except ValueError:  # a literal past the int-from-string limit
+            return None
+        return _collect(terms)
+
+
+def parse_polys(exprs: Iterable[str], parameters: Sequence[str]) -> list[Polynomial]:
+    """parse_poly of each text, the texts sharing one monomial table, as the
+    cells of one model do."""
+    reader = _CanonicalReader(parameters)
+    return [p if (p := reader.read(expr)) is not None else _Parser(expr, parameters).parse() for expr in exprs]
+
+
 def parse_poly(expr: str, parameters: Sequence[str]) -> Polynomial:
     """Parse an expression into an exact Polynomial.
 
     Identifiers must be declared parameters; '/' is only valid inside a
-    rational literal.
+    rational literal. A text in format_poly's form is read in one pass;
+    any other text, and every error, goes through the grammar parser.
     """
-    return _Parser(expr, parameters).parse()
+    return parse_polys([expr], parameters)[0]
 
 
 def _unprintable() -> UmvueError:

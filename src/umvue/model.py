@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from .errors import UmvueError
-from .expr import format_poly, number_text, parse_poly
+from .expr import format_poly, number_text, parse_polys
 from .linalg import Matrix, RrefResult, rref
-from .poly import Monomial, Polynomial, as_fraction
+from .poly import ONE, Monomial, Polynomial, as_fraction
 
 Interval = tuple[Fraction, Fraction]
 
@@ -194,14 +194,34 @@ def interior_grid(lo: Fraction, hi: Fraction) -> list[Fraction]:
     return [lo + step * i for i in range(1, POSITIVITY_GRID_POINTS + 1)]
 
 
-def validate_model(m: CategoricalModel) -> ValidationReport:
-    """Check labels, exact normalization, nonzero cells and sampled positivity.
+def _power_table(v: Fraction, top: int, scale: int = 1) -> list[int]:
+    """scale * a^e * b^(top - e) for v = a/b and e = 0..top: v^e times scale * b^top."""
+    return [scale * v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)]
 
-    Both read the table C (`m.coefficients`) that the analysis reuses.
-    Normalization is the exact identity C.1 = the constant row. Positivity is
-    only sampled on the product of the interior_grid axes, not proven on the
-    whole box: each nonzero cell's sign is read exactly, in integers, off its
-    integer column, and the first point with a non-positive cell is reported.
+
+def _weights(exponents: list[list[int]], tables: list[list[int]]) -> list[int]:
+    """Per basis row, the product of its parameters' power-table entries."""
+    return [prod([table[e] for table, e in zip(tables, exps)]) for exps in exponents]
+
+
+def validate_model(m: CategoricalModel) -> ValidationReport:
+    """Check labels, exact normalization, nonzero cells and positivity.
+
+    All read the table C (`m.coefficients`) that the analysis reuses.
+    Normalization is the exact identity C.1 = the constant row, compared in
+    integers. Positivity is proven for the cells a corner bound settles and
+    sampled for the rest, on the product of the interior_grid axes; each
+    sampled cell's sign is read exactly, in integers, off its integer
+    column, and the first grid point with a non-positive cell is reported.
+
+    The corner bound applies when every parameter's lo >= 0. A cell's bound
+    L is its positive terms evaluated at lo plus its negative terms at hi.
+    At any interior point theta, each non-constant monomial has
+    lo^m < theta^m < hi^m, since 0 <= lo_i < theta_i < hi_i; so
+    p(theta) > L for every non-constant p, and p = L for a constant p. A
+    nonzero cell with L >= 0 is thus positive at every interior point, the
+    grid points included, and the grid could never flag it: only the other
+    cells are sampled, and the report is the one the grid alone would give.
     """
     issues: list[ValidationIssue] = []
 
@@ -220,8 +240,15 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
             ))
 
     basis, c = m.coefficients
-    residual = Polynomial(zip(basis, c.mul_vector([1] * m.n))) - Polynomial.constant(1)
-    if not residual.is_zero():
+    # s*(C.1) in integers, against s times the constant row (the constant
+    # monomial sorts first in the basis)
+    s = lcm(*(scale for scale, _ in c.integer_columns))
+    total = [0] * len(basis)
+    for scale, column in c.integer_columns:
+        for r, x in column.items():
+            total[r] += x * (s // scale)
+    if not (basis and basis[0] == ONE and total[0] == s and not any(total[1:])):
+        residual = Polynomial(zip(basis, c.mul_vector([1] * m.n))) - Polynomial.constant(1)
         issues.append(ValidationIssue(
             "not-normalized",
             f"cell probabilities sum to 1 + ({format_poly(residual)})",
@@ -239,18 +266,29 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
         exponents = [[dict(mono.exps).get(name, 0) for name in m.parameters] for mono in basis]
         cells = [(k, column.items()) for k, (_, column) in enumerate(c.integer_columns) if column]
         tops = [max((exps[i] for exps in exponents), default=0) for i in range(len(m.parameters))]
-        # each axis value a/b comes with its power table a^e * b^(top - e)
-        axes = [[(v, [v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)])
-                 for v in interior_grid(*m.domain[name])] for name, top in zip(m.parameters, tops)]
-        for point in product(*axes):
-            weight = [prod([table[e] for (_, table), e in zip(point, exps)]) for exps in exponents]
-            bad = [k for k, column in cells if sum(x * weight[r] for r, x in column) <= 0]
-            if bad:
-                coords = tuple((name, v) for name, (v, _) in zip(m.parameters, point))
-                where = ", ".join(f"{name}={v}" for name, v in coords)
-                issues += [ValidationIssue("non-positive", f"cell {k} is not positive at {where}",
-                                           component=k, point=coords) for k in bad]
-                break
+        bounds = [m.domain[name] for name in m.parameters]
+        if all(lo >= 0 for lo, _ in bounds):
+            # theta^m at the corners lo and hi, both scaled by prod_i (b_i*d_i)^top_i
+            # for lo_i = a_i/b_i and hi_i = c_i/d_i; a cell with bound L >= 0 is proven
+            at_lo = _weights(exponents, [_power_table(lo, top, hi.denominator ** top)
+                                         for (lo, hi), top in zip(bounds, tops)])
+            at_hi = _weights(exponents, [_power_table(hi, top, lo.denominator ** top)
+                                         for (lo, hi), top in zip(bounds, tops)])
+            cells = [(k, column) for k, column in cells
+                     if sum(x * (at_lo[r] if x > 0 else at_hi[r]) for r, x in column) < 0]
+        if cells:
+            # each axis value a/b comes with its power table a^e * b^(top - e)
+            axes = [[(v, _power_table(v, top)) for v in interior_grid(*m.domain[name])]
+                    for name, top in zip(m.parameters, tops)]
+            for point in product(*axes):
+                weight = [prod([table[e] for (_, table), e in zip(point, exps)]) for exps in exponents]
+                bad = [k for k, column in cells if sum(x * weight[r] for r, x in column) <= 0]
+                if bad:
+                    coords = tuple((name, v) for name, (v, _) in zip(m.parameters, point))
+                    where = ", ".join(f"{name}={v}" for name, v in coords)
+                    issues += [ValidationIssue("non-positive", f"cell {k} is not positive at {where}",
+                                               component=k, point=coords) for k in bad]
+                    break
 
     return ValidationReport(ok=not issues, issues=tuple(issues))
 
@@ -316,7 +354,7 @@ def model_from_dict(data: dict) -> CategoricalModel:
                   for name, (lo, hi) in data["domain"].items()}
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"bad domain: {exc}") from exc
-    pmf = [parse_poly(str(expr), parameters) for expr in data["pmf"]]
+    pmf = parse_polys([str(expr) for expr in data["pmf"]], parameters)
     try:
         return CategoricalModel(
             support=[str(s) for s in data["support"]],

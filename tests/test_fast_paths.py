@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,8 @@ from umvue import (
     expectation,
     is_umvue,
     minimal_sufficient_partition,
+    model_from_json,
+    model_to_json,
     mve_partition,
     random_model,
     rref,
@@ -36,6 +38,8 @@ from umvue import (
 from umvue.corpus import CORPUS
 from umvue.expr import (
     MAX_NESTING,
+    _CanonicalReader,
+    _Parser,
     MAX_POWER_DEGREE,
     ParseError,
     UnknownParameter,
@@ -646,3 +650,188 @@ def test_umvue_for_and_expectation_match_the_second_eliminations():
         for g in (random_statistic(rng, m.n), Statistic.constant(1, m.n)):
             assert expectation(m, g) == reference_expectation(m, g)
     assert statuses == {*Estimability, "outside the column space"}
+
+
+def grid_validate(m: CategoricalModel) -> ValidationReport:
+    """validate_model before the corner bound: normalization through
+    mul_vector and the integer grid loop over every nonzero cell."""
+    issues = []
+    if len(set(m.support)) != m.n:
+        dupes = sorted({s for s in m.support if m.support.count(s) > 1})
+        issues.append(ValidationIssue("duplicate-label", f"duplicate labels: {', '.join(dupes)}"))
+    declared = set(m.parameters)
+    for k, p in enumerate(m.pmf):
+        extra = p.parameters() - declared
+        if extra:
+            issues.append(ValidationIssue(
+                "undeclared-parameter",
+                f"cell {k} uses undeclared parameters: {', '.join(sorted(extra))}",
+                component=k,
+            ))
+    basis, c = m.coefficients
+    residual = Polynomial(zip(basis, c.mul_vector([1] * m.n))) - Polynomial.constant(1)
+    if not residual.is_zero():
+        issues.append(ValidationIssue(
+            "not-normalized",
+            f"cell probabilities sum to 1 + ({format_poly(residual)})",
+            residual=residual,
+        ))
+    for k, p in enumerate(m.pmf):
+        if p.is_zero():
+            issues.append(ValidationIssue("zero-component", f"cell {k} is identically zero", component=k))
+    if not any(issue.code == "undeclared-parameter" for issue in issues):
+        exponents = [[dict(mono.exps).get(name, 0) for name in m.parameters] for mono in basis]
+        cells = [(k, column.items()) for k, (_, column) in enumerate(c.integer_columns) if column]
+        tops = [max((exps[i] for exps in exponents), default=0) for i in range(len(m.parameters))]
+        axes = [[(v, [v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)])
+                 for v in interior_grid(*m.domain[name])] for name, top in zip(m.parameters, tops)]
+        for point in product(*axes):
+            weight = [prod([table[e] for (_, table), e in zip(point, exps)]) for exps in exponents]
+            bad = [k for k, column in cells if sum(x * weight[r] for r, x in column) <= 0]
+            if bad:
+                coords = tuple((name, v) for name, (v, _) in zip(m.parameters, point))
+                where = ", ".join(f"{name}={v}" for name, v in coords)
+                issues += [ValidationIssue("non-positive", f"cell {k} is not positive at {where}",
+                                           component=k, point=coords) for k in bad]
+                break
+    return ValidationReport(ok=not issues, issues=tuple(issues))
+
+
+def corner_bound(p: Polynomial, domain: dict[str, tuple[Fraction, Fraction]]) -> Fraction:
+    """The positive terms of p at the box's lower corner plus its negative terms at the upper."""
+    return sum((c * prod(domain[name][0 if c > 0 else 1] ** e for name, e in mono.exps)
+                for mono, c in p.terms.items()), Fraction(0))
+
+
+def corner_cells(draw, parameters, domain) -> list[Polynomial]:
+    """Cells at the edges of the corner bound: bound exactly 0 (a parameter,
+    hi - parameter), constants, zero, negative inside the box, and random."""
+    name = draw(st.sampled_from(parameters))
+    t = Polynomial.variable(name)
+    lo, hi = domain[name]
+    mid = (lo + hi) / 2
+    pool = [t, hi - t, t - lo, Polynomial.constant(draw(fractions)), Polynomial.zero(),
+            (t - lo) * (hi - t) - (hi - lo) ** 2 / 5,  # negative near both ends
+            (t - mid) * (t - mid), t * t - 2 * mid * t + mid * mid + Fraction(1, 100),
+            draw(polynomials(names=parameters)) + draw(st.sampled_from([0, 1, 8]))]
+    return [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def corner_models(draw):
+    parameters = list(NAMES[:draw(st.integers(1, 2))])
+    domain = {}
+    for name in parameters:
+        lo = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(-1, 2)]))
+        domain[name] = (lo, lo + draw(st.sampled_from([Fraction(1), Fraction(1, 4), Fraction(7, 3)])))
+    cells = corner_cells(draw, parameters, domain)
+    if draw(st.integers(0, 9)) == 0:
+        cells.append(Polynomial.variable(UNDECLARED))
+    if draw(st.booleans()):  # normalize through the last cell
+        cells.append(Polynomial.constant(1) - Polynomial.sum(cells))
+    return CategoricalModel([str(k) for k in range(len(cells))], cells, parameters, domain)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(models(), corner_models()))
+def test_validate_model_matches_the_all_cells_grid(m):
+    assert validate_model(m) == grid_validate(m)
+
+
+def test_validate_model_matches_the_all_cells_grid_on_seeded_models():
+    rng = random.Random(31)
+    seen = set()
+    for m in [*corpus_cases(), *random_cases(150, 31)]:
+        assert validate_model(m) == grid_validate(m)
+        # the same cells on a box shifted below 0, where no cell is proven
+        shifted = CategoricalModel(m.support, m.pmf, m.parameters,
+                                   {name: (lo - rng.choice([0, 1, Fraction(1, 2)]), hi)
+                                    for name, (lo, hi) in m.domain.items()})
+        report = validate_model(shifted)
+        assert report == grid_validate(shifted)
+        seen.update(issue.code for issue in report.issues)
+    assert seen == {"non-positive"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(corner_models(), st.randoms(use_true_random=False))
+def test_cells_the_corner_bound_proves_are_positive_inside_the_box(m, rng):
+    if any(lo < 0 for lo, _ in m.domain.values()):
+        return
+    symbols = [sympy.Symbol(name) for name in m.parameters]
+    for p in m.pmf:
+        if p.is_zero() or p.parameters() - set(m.parameters) or corner_bound(p, m.domain) < 0:
+            continue
+        expr = to_sympy(p.terms.items())
+        for _ in range(5):
+            point = {}
+            for name, symbol in zip(m.parameters, symbols):
+                lo, hi = m.domain[name]
+                point[symbol] = rational(lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000))
+            assert expr.subs(point) > 0
+
+
+def test_the_corner_bound_proves_every_random_model_cell(monkeypatch):
+    """No random-model cell reaches the grid, so the saving cannot silently vanish."""
+    def no_grid(lo, hi):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr("umvue.model.interior_grid", no_grid)
+    for m in random_cases(200, 33):
+        assert validate_model(m).ok
+
+
+def canonical_cases():
+    """format_poly texts at the edges of the one-pass reader's form."""
+    big = int("7" * 4000)
+    t, e = Polynomial.variable("theta"), Polynomial.variable("eta")
+    return [Polynomial.zero(), Polynomial.constant(5), Polynomial.constant(Fraction(-3, 7)), -t, t - 1, -t - e + 1,
+            t * e - Fraction(1, 2), t ** 512, (t ** 512) * (e ** 512) - t, big * t - Fraction(1, big), -big * e ** 3]
+
+
+def read_canonical(text: str, parameters) -> Polynomial | None:
+    return _CanonicalReader(parameters).read(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials(max_terms=8))
+def test_one_pass_reader_gives_the_grammar_parsers_terms(p):
+    text = format_poly(p)
+    got = read_canonical(text, NAMES)
+    expected = _Parser(text, NAMES).parse()
+    assert got is not None
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_one_pass_reader_on_edge_texts():
+    for p in canonical_cases():
+        text = format_poly(p)
+        got = read_canonical(text, NAMES)
+        assert got is not None, text[:40]
+        assert list(got.terms.items()) == list(_Parser(text, NAMES).parse().terms.items())
+        assert got == p
+    # refused, so the grammar parser reads or rejects them as before
+    refused = {"nu": NAMES, "2*nu^2 + 1": NAMES, "theta*nu^0": NAMES, "theta^0": NAMES, "nu^0": NAMES,
+               "theta^513": NAMES, "theta^512*theta": NAMES, "1/0": NAMES, "3/0*theta": NAMES,
+               "9" * 5000: NAMES, "theta^" + "1" * 5000: NAMES, "3/" + "1" * 5000: NAMES,
+               "1a": ["1a"], "2*²x": ["²x"]}
+    for text, parameters in refused.items():
+        assert read_canonical(text, parameters) is None, text[:40]
+        assert outcome(parse_poly, text, parameters) == outcome(reference_parse, text, parameters)
+    # names with digits after the first character, and digits of another script, are read
+    assert read_canonical("x1^2 - ٣/4*x1", ["x1"]) == _Parser("x1^2 - ٣/4*x1", ["x1"]).parse()
+
+
+def test_no_corpus_or_random_model_text_reaches_the_grammar_parser(monkeypatch):
+    class Refuse:
+        def __init__(self, text, parameters):
+            raise AssertionError(f"grammar parser reached for {text[:40]!r}")
+
+    cases = [(m, [format_poly(p) for p in umvue_functionals(m)])
+             for m in [*corpus_cases(), *random_cases(300, 35)]]
+    monkeypatch.setattr("umvue.expr._Parser", Refuse)
+    for m, targets in cases:
+        assert model_from_json(model_to_json(m)) == m
+        for text in targets:
+            parse_poly(text, m.parameters)

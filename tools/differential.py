@@ -10,8 +10,11 @@ prefix of their text. Two trees that give the same answers print the same
 lines, so running it on a parent and a change checks that the change keeps
 every output. The inputs are the corpus at several sizes, paper-2-3 squared
 and cubed, 300 seeded random models and invalid models that skip validation
-(all-zero, a zero cell, unnormalized); an output that raises is recorded as
-its error type and message. Inputs are drawn from seeded generators and
+(all-zero, a zero cell, unnormalized, a domain below 0, a cell negative
+inside the box); an output that raises is recorded as its error type and
+message. parse_poly reads each model's first cell texts as format_poly
+writes them, the same texts in forms format_poly does not write, texts that
+raise, and a fixed set of edge texts. Inputs are drawn from seeded generators and
 from the answers themselves (block-constant statistics, block-sum targets,
 and for is_complete the minimal sufficient partition, that partition with a
 block split and a random partition), so the lines depend on nothing but the
@@ -45,6 +48,7 @@ from umvue import (
     minimal_sufficient_partition,
     mve_partition,
     null_space,
+    parse_poly,
     random_model,
     rref,
     umvue_for,
@@ -67,6 +71,10 @@ from helpers import (  # noqa: E402
 SIZES = {"binomial": [*range(1, 16), 20, 24], "constant": [*range(1, 7)],
          "lehmann-trunc": [*range(1, 16), 20, 24, 30]}
 RANDOM_MODELS = 300
+# read by parse_poly on every model: the one-pass form's edges and its refusals
+EDGE_TEXTS = ["0", "-0", "7", "-3/4", "theta^0", "theta^512", "theta^513", "theta^512*theta", "1/0",
+              "0/5*theta", "theta + theta", "nu", "nu^0", "2*x1", "1a", "theta^01", "٣/4*theta",
+              "7" * 4000 + "*theta - 1/" + "3" * 4000, "9" * 5000, "theta^" + "1" * 5000, " theta", "theta+1"]
 
 
 def models():
@@ -84,6 +92,10 @@ def models():
     yield CategoricalModel("abc", [t, Polynomial.zero(), 1 - t], ["theta"], domain)
     yield CategoricalModel("ab", [t, t], ["theta"], domain)
     yield CategoricalModel("abc", [t, t * t, 1 - t * t], ["theta"], domain)
+    yield CategoricalModel("abc", [t, t * t, 1 - t - t * t], ["theta"], {"theta": (Fraction(-1, 2), Fraction(1, 2))})
+    dip = t - t * t - Fraction(1, 5)  # negative near both ends of (0, 1)
+    yield CategoricalModel("ab", [dip, 1 - dip], ["theta"], domain)
+    yield CategoricalModel("abc", [t, 1 - 2 * t, t], ["theta"], {"theta": (Fraction(1, 4), Fraction(1, 2))})
 
 
 def partition(m: CategoricalModel) -> Partition:
@@ -135,9 +147,20 @@ def estimate(m: CategoricalModel, target: Polynomial) -> str:
     return f"{r.status.value} {r.statistic} {r.coefficients}"
 
 
+def texts(m: CategoricalModel) -> list[str]:
+    """The first cells' texts as format_poly writes them, in other forms, and with an error appended."""
+    found = list(EDGE_TEXTS)
+    for p in m.pmf[:3]:
+        text = format_poly(p)
+        found += [text, text.replace(" ", ""), f"({text})*1", f"-({text})", text + " + zz", text + " - 1/0"]
+    return found
+
+
 def answers(m: CategoricalModel, rng: random.Random):
     """(output kind, thunk) pairs for one model; each thunk returns the output as text."""
     c = coefficient_matrix(m)[1]
+    for text in texts(m):
+        yield "parse_poly", lambda t=text: show(parse_poly(t, m.parameters))
     yield "pivots and relations", lambda: pivots_and_relations(c)
     yield "validate_model", lambda: str([(i.code, i.detail, i.component, i.point, show(i.residual))
                                          for i in validate_model(m).issues])
