@@ -28,6 +28,11 @@ multiplied as one after the term is read. An expression merges the
 
 format_poly emits terms in canonical order (graded, then lexicographic by
 parameter name), with explicit '*' and '^', so parse_poly(format_poly(p)) == p.
+A text in that form, which every model file and target the engine writes
+has, skips the grammar: _CanonicalReader reads it with one fullmatch and one
+findall, and parse_polys shares its monomial table across a model's cells.
+Any other text, and any it doubts, goes to the grammar parser, the only path
+that raises.
 """
 
 from __future__ import annotations
@@ -207,8 +212,9 @@ _NAME = r"[^\W\d]\w*"
 _MONOMIAL = rf"{_NAME}(?:\^\d+)?(?:\*{_NAME}(?:\^\d+)?)*"
 _BODY = rf"\d+(?:/\d+)?(?:\*{_MONOMIAL})?|{_MONOMIAL}"
 _CANONICAL = re.compile(rf"-?(?:{_BODY})(?: [-+] (?:{_BODY}))*")
-# per term: its sign, numerator, denominator and monomial (after a magnitude or alone)
-_TERM = re.compile(rf"(?:^(-?)| ([-+]) )(?:(\d+)(?:/(\d+))?(?:\*({_MONOMIAL}))?|({_MONOMIAL}))")
+# per term of a text in that form: its sign, numerator, denominator and
+# monomial (after a magnitude or alone)
+_TERM = re.compile(rf"(?:^| )([-+]?) ?(?:(\d+)(?:/(\d+))?(?:\*({_MONOMIAL}))?|({_MONOMIAL}))")
 
 
 class _CanonicalReader:
@@ -234,7 +240,7 @@ class _CanonicalReader:
         for factor in text.split("*"):
             name, _, power = factor.partition("^")
             try:
-                e = int(power) if power else 1
+                e = int(power or 1)
             except ValueError:  # past the int-from-string limit
                 return None
             if name not in self.names or e == 0 or exps.get(name, 0) + e > MAX_POWER_DEGREE:
@@ -248,14 +254,15 @@ class _CanonicalReader:
         monomials = self.monomials
         terms = []
         try:
-            for lead, sign, num, den, after, alone in _TERM.findall(text):
+            for sign, num, den, after, alone in _TERM.findall(text):
                 key = after or alone
-                mono = monomials[key] if key in monomials else monomials.setdefault(key, self.monomial(key))
-                d = int(den) if den else 1
+                if key not in monomials:
+                    monomials[key] = self.monomial(key)
+                mono, n, d = monomials[key], int(num or 1), int(den or 1)
                 if mono is None or d == 0:
                     return None
-                coeff = Fraction(int(num), d) if num else Fraction(1)
-                terms.append((mono, -coeff if lead or sign == "-" else coeff))
+                coeff = Fraction(n, d) if den else Fraction(n)
+                terms.append((mono, -coeff if sign == "-" else coeff))
         except ValueError:  # a literal past the int-from-string limit
             return None
         return _collect(terms)

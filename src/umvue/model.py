@@ -17,8 +17,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import lcm, prod
+from operator import mul
 
 from .errors import UmvueError
 from .expr import format_poly, number_text, parse_polys
@@ -196,7 +197,9 @@ def interior_grid(lo: Fraction, hi: Fraction) -> list[Fraction]:
 
 def _power_table(v: Fraction, top: int, scale: int = 1) -> list[int]:
     """scale * a^e * b^(top - e) for v = a/b and e = 0..top: v^e times scale * b^top."""
-    return [scale * v.numerator ** e * v.denominator ** (top - e) for e in range(top + 1)]
+    a_powers = accumulate(repeat(v.numerator, top), mul, initial=scale)
+    b_powers = list(accumulate(repeat(v.denominator, top), mul, initial=1))
+    return list(map(mul, a_powers, reversed(b_powers)))
 
 
 def _weights(exponents: list[list[int]], tables: list[list[int]]) -> list[int]:
@@ -229,17 +232,20 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
         dupes = sorted({s for s in m.support if m.support.count(s) > 1})
         issues.append(ValidationIssue("duplicate-label", f"duplicate labels: {', '.join(dupes)}"))
 
-    declared = set(m.parameters)
-    for k, p in enumerate(m.pmf):
-        extra = p.parameters() - declared
-        if extra:
-            issues.append(ValidationIssue(
-                "undeclared-parameter",
-                f"cell {k} uses undeclared parameters: {', '.join(sorted(extra))}",
-                component=k,
-            ))
-
     basis, c = m.coefficients
+    declared = set(m.parameters)
+    # the basis holds every cell's monomials, so only a model with an
+    # undeclared name in its basis has a cell to report
+    if any(name not in declared for mono in basis for name, _ in mono.exps):
+        for k, p in enumerate(m.pmf):
+            extra = p.parameters() - declared
+            if extra:
+                issues.append(ValidationIssue(
+                    "undeclared-parameter",
+                    f"cell {k} uses undeclared parameters: {', '.join(sorted(extra))}",
+                    component=k,
+                ))
+
     # s*(C.1) in integers, against s times the constant row (the constant
     # monomial sorts first in the basis)
     s = lcm(*(scale for scale, _ in c.integer_columns))
@@ -281,7 +287,7 @@ def validate_model(m: CategoricalModel) -> ValidationReport:
             axes = [[(v, _power_table(v, top)) for v in interior_grid(*m.domain[name])]
                     for name, top in zip(m.parameters, tops)]
             for point in product(*axes):
-                weight = [prod([table[e] for (_, table), e in zip(point, exps)]) for exps in exponents]
+                weight = _weights(exponents, [table for _, table in point])
                 bad = [k for k, column in cells if sum(x * weight[r] for r, x in column) <= 0]
                 if bad:
                     coords = tuple((name, v) for name, (v, _) in zip(m.parameters, point))
