@@ -703,28 +703,26 @@ def corner_bound(p: Polynomial, domain: dict[str, tuple[Fraction, Fraction]]) ->
                 for mono, c in p.terms.items()), Fraction(0))
 
 
-def corner_cells(draw, parameters, domain) -> list[Polynomial]:
-    """Cells at the edges of the corner bound: bound exactly 0 (a parameter,
-    hi - parameter), constants, zero, negative inside the box, and random."""
+@st.composite
+def corner_models(draw):
+    """Models at the edges of the corner bound: boxes with lo < 0, lo = 0
+    and lo > 0; cells whose bound is exactly 0 (a parameter, hi - parameter),
+    constants, zero cells, cells negative inside the box or zero at its
+    middle grid point, random cells and an undeclared parameter."""
+    parameters = list(NAMES[:draw(st.integers(1, 2))])
+    domain = {}
+    for name in parameters:
+        lo = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(-1, 2)]))
+        domain[name] = (lo, lo + draw(st.sampled_from([Fraction(1), Fraction(1, 4), Fraction(7, 3)])))
     name = draw(st.sampled_from(parameters))
     t = Polynomial.variable(name)
     lo, hi = domain[name]
     mid = (lo + hi) / 2
     pool = [t, hi - t, t - lo, Polynomial.constant(draw(fractions)), Polynomial.zero(),
             (t - lo) * (hi - t) - (hi - lo) ** 2 / 5,  # negative near both ends
-            (t - mid) * (t - mid), t * t - 2 * mid * t + mid * mid + Fraction(1, 100),
+            (t - mid) * (t - mid), (t - mid) * (t - mid) + Fraction(1, 100),
             draw(polynomials(names=parameters)) + draw(st.sampled_from([0, 1, 8]))]
-    return [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 5)))]
-
-
-@st.composite
-def corner_models(draw):
-    parameters = list(NAMES[:draw(st.integers(1, 2))])
-    domain = {}
-    for name in parameters:
-        lo = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(-1, 2)]))
-        domain[name] = (lo, lo + draw(st.sampled_from([Fraction(1), Fraction(1, 4), Fraction(7, 3)])))
-    cells = corner_cells(draw, parameters, domain)
+    cells = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 5)))]
     if draw(st.integers(0, 9)) == 0:
         cells.append(Polynomial.variable(UNDECLARED))
     if draw(st.booleans()):  # normalize through the last cell

@@ -14,11 +14,11 @@ and cubed, 300 seeded random models and invalid models that skip validation
 inside the box); an output that raises is recorded as its error type and
 message. parse_poly reads each model's first cell texts as format_poly
 writes them, the same texts in forms format_poly does not write, texts that
-raise, and a fixed set of edge texts. Inputs are drawn from seeded generators and
-from the answers themselves (block-constant statistics, block-sum targets,
-and for is_complete the minimal sufficient partition, that partition with a
-block split and a random partition), so the lines depend on nothing but the
-tree. The seeded generators it shares with the tests come from
+raise, and a fixed set of edge texts. Inputs are drawn from seeded
+generators and from the answers themselves (block-constant statistics,
+block-sum targets, and for is_complete the minimal sufficient partition,
+that partition with a block split and a random partition), so the lines
+depend on nothing but the tree. The seeded generators it shares with the tests come from
 `tests/helpers.py`, which needs sympy.
 """
 
